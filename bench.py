@@ -29,11 +29,8 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 N_EVENTS = int(os.environ.get("GRAFT_BENCH_EVENTS", "8000000"))
 CACHE_ROOT = os.environ.get("GRAFT_BENCH_CACHE", "/tmp/cdc_bench_cache")
-# number of replay epochs the headline run is sliced into (default 2);
-# raise for many-epoch state-residency comparisons (disk vs actor tier)
+# number of replay epochs the headline run is sliced into (default 2)
 N_EPOCHS = int(os.environ.get("GRAFT_BENCH_EPOCHS", "2"))
-# merge-state residency for the headline replay: "disk" | "actor"
-STATE_TIER = os.environ.get("GRAFT_BENCH_TIER", "disk")
 # full query sweeps per bench (per-query time = min across sweeps —
 # one noisy hypervisor window can no longer fabricate a 13× regression)
 QUERY_SWEEPS = int(os.environ.get("GRAFT_QUERY_SWEEPS", "2"))
@@ -148,27 +145,13 @@ def run_once() -> dict:
         # pays full per-epoch fixed cost while n_epochs reports N
         epoch_max_events=max(250_000, -(-N_EVENTS // N_EPOCHS)),
         batch_size=int(os.environ.get("GRAFT_BENCH_BATCH", "262144")),
-        state_tier=STATE_TIER,
-        pipeline_epochs=os.environ.get("GRAFT_BENCH_PIPELINE", "1") != "0",
-        merge_exchange=os.environ.get("GRAFT_BENCH_EXCHANGE", "direct"),
         # GRAFT_BENCH_LAYOUT=delta benches the append state layout
         # (bench state is small, so expect a wash here — the layout's
         # regime is large state / low touch density, SOAK_DELTA.json)
         state_layout=os.environ.get("GRAFT_BENCH_LAYOUT", "full"),
-        # A/B hook (VERDICT r4 #2): GRAFT_BENCH_DICT_COLS=repo,lang
-        # dictionary-encodes those columns through the exchange
-        exchange_dict_cols=tuple(
-            c
-            for c in os.environ.get("GRAFT_BENCH_DICT_COLS", "").split(",")
-            if c
-        ),
-        # one shard actor per 2 CPUs: the per-epoch fold+checkpoint
-        # parallelizes across actors (64 pids / 16 actors = 4 serial
-        # folds each)
-        actor_state_shards=min(64, max(8, NUM_CPUS // 2)),
     )
 
-    # untimed warmup: spins up Ray workers + actor pools so the timed
+    # untimed warmup: spins up Ray workers so the timed
     # run measures steady-state throughput, not process fork latency
     shutil.rmtree(store_root, ignore_errors=True)
     replay_files(files[:1], StateStore(store_root), cfg)
@@ -275,7 +258,6 @@ def run_once() -> dict:
         "replay_attempts": attempts,
         "derived_tasks_sec": derived_sec,
         "n_epochs": N_EPOCHS,
-        "state_tier": STATE_TIER,
         "query_sweeps": max(1, QUERY_SWEEPS),
         "query_sweep_steal_pct": sweep_steals,
     }

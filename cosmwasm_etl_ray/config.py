@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs for the CDC replay engine.
+    """Knobs for the CDC replay engine — seven, none of which selects
+    an execution path: every epoch runs the one direct pid-chained
+    exchange (pipelines/replay.py), whatever the entry point.
 
     num_partitions is the analogue of the reference's fixed key space
     partitioning decision: it is FIXED independently of cluster size so
@@ -25,10 +27,6 @@ class EngineConfig:
 
     # keyed-upsert core
     num_partitions: int = 64
-    # events-per-key threshold (within one epoch) above which a key is
-    # salted into sub-partitions before the ordered reduce
-    hot_key_threshold: int = 50_000
-    salt_factor: int = 8
 
     # epoching: max change events pulled per epoch (the analogue of the
     # reference's height-batch limit, GetParsedTxsWithLimit
@@ -36,9 +34,10 @@ class EngineConfig:
     # sliced on commit boundaries, never splitting one commit)
     epoch_max_events: int = 2_000_000
 
-    # execution
+    # minimum rows per prep task (large epochs raise it to keep
+    # ≤ 2×NCPU prep tasks per epoch) and the store-less fold's
+    # combiner batch
     batch_size: int = 32_768
-    merge_concurrency: int | None = None  # None → let Ray size the pool
 
     # validation cadence (reference: every 1000 heights,
     # /root/reference/configs/parser.config.go:9-12)
@@ -56,40 +55,6 @@ class EngineConfig:
     # (behaviorally identical to stages.rules.default_cdc_rules()).
     rules: object | None = None
 
-    # Merge-state residency. "disk" (default): each epoch's merge
-    # re-reads the prior partition file — cheap restart, state survives
-    # any process death. "actor": a StateShard actor pool holds state
-    # in RAM across epochs (the reference keeps its pair set in process
-    # memory, /root/reference/parser/dex/dezswap/app.go:42-68) and
-    # checkpoints per epoch into the SAME manifest store — many-epoch
-    # replays skip the per-epoch state re-read. Same resume semantics:
-    # recovery loads the last committed epoch and re-applies the tail.
-    state_tier: str = "disk"
-    actor_state_shards: int = 8
-
-    # Pipelined replay: epoch e+1's read+flag+combine (which depends
-    # only on its own input files) materializes on a background thread
-    # while epoch e's merge holds the shuffle barrier — the barrier's
-    # idle CPUs do the next epoch's map work. Commit order, manifests
-    # and crash semantics are unchanged (the merge of e+1 still starts
-    # only after e commits).
-    pipeline_epochs: bool = True
-
-    # Merge exchange strategy. "streaming" (default): Ray Data's
-    # groupby("pid").map_groups — the hash-shuffle operator spawns an
-    # aggregator-actor pool PER DATASET EXECUTION (measured ~1.7 s
-    # fixed cost per epoch at bench scale regardless of CPU count,
-    # BASELINE.md), which it amortizes over very large epochs.
-    # "direct": a spawn-free raw-task exchange — each combined block is
-    # split by pid in one task (num_returns=P) and one raw merge task
-    # per touched partition gathers its slices; same MergeWithState,
-    # same tie-break order (slices concatenate in block order), no
-    # actors. Driver bookkeeping is O(blocks × P) ObjectRefs, so at
-    # 100-TB epoch sizes either raise the target block size or fall
-    # back to "streaming" (whose actor spawn amortizes there anyway) —
-    # the crossover is documented in BASELINE.md.
-    merge_exchange: str = "streaming"
-
     # State checkpoint layout. "full" (default): copy-on-write — each
     # epoch rewrites every dirty partition's whole state; reads are
     # one file per pid. "delta": each epoch APPENDS one folded delta
@@ -97,28 +62,10 @@ class EngineConfig:
     # state — the 1B soak's diagnosed limiter, SOAK_1B.json); reads
     # fold the per-pid chain (fold_lww_arrow is associative, so the
     # result is bit-identical), state/delta.compact_state folds
-    # chains into a base periodically. Delta requires the production
-    # path (merge_exchange="direct" + state_tier="disk"); the layout
-    # is store identity — resume refuses a mismatch.
+    # chains into a base periodically. The layout is store identity —
+    # resume refuses a mismatch, and apply_epoch (repair, quarantine
+    # replay, bootstrap) writes full-layout stores only.
     state_layout: str = "full"
-
-    # Exchange byte-shaving A/B (VERDICT r4 #2): dictionary-encode
-    # these low-cardinality passthrough columns in the direct
-    # exchange's prep output, so the object-store shuffle ships int32
-    # indices + a small per-block dictionary instead of repeated
-    # strings; the merge decodes them back before folding (on-disk
-    # state schema unchanged). Only helps columns that REPEAT within
-    # a combined block (repo, lang); path/content are near-unique
-    # after the combiner, where a dictionary ADDS bytes. Measured
-    # A/B in BASELINE.md; default on/off follows the measurement.
-    exchange_dict_cols: tuple = ()
-
-    # PriceTask exchange: "direct" = raw-task exchange exploiting the
-    # state files' existing (repo,path)-hash partitioning (state side
-    # of the J6 join needs NO shuffle); "dataset" = the hash_join +
-    # sharded_map_groups Dataset shape. Semantics identical — pinned
-    # by tests/test_price_router.py::test_price_direct_matches_dataset.
-    price_exchange: str = "direct"
 
 
 DEFAULT_CONFIG = EngineConfig()

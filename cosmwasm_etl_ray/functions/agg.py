@@ -26,8 +26,8 @@ Two final-reduce modes:
 - ``final="driver"`` (default): the partial set reduces driver-side —
   bounded by groups × batches; use when group cardinality is small
   (per-repo rollups, status codes).
-- ``final="shuffle"``: partials shard by key hash and reduce inside a
-  ``groupby(_shard).map_groups`` — the whole reduce stays distributed
+- ``final="shuffle"``: partials shard by key hash and reduce inside
+  ``shard_exchange`` tasks — the whole reduce stays distributed
   and vectorized (pandas groupby within each coarse shard, never one
   task per key). Use for high-cardinality keys (user × window).
 
@@ -52,18 +52,12 @@ from cosmwasm_etl_ray.functions.hashing import stable_hash64
 _PARTIAL_OPS = {"sum": "sum", "count": "count", "min": "min", "max": "max"}
 
 
-def _key_shard(df: pd.DataFrame, keys: list[str], shards: int) -> np.ndarray:
-    cols = [np.asarray(df[k].to_numpy()).astype("U") for k in keys]
-    return (stable_hash64(*cols) % np.uint64(shards)).astype(np.int32)
-
-
 # --------------------------------------------- direct shard exchange
 
 def _shard_split_blocks(n: int, keys: list[str], by_column: bool, *blocks):
     """Raw task: concat a run of blocks, split by shard (num_returns=n;
-    None for empty shards). ``by_column=False``: shard = key-hash,
-    mirroring ``_key_shard`` so the two exchange shapes co-locate
-    identically. ``by_column=True``: keys[0] IS the precomputed integer
+    None for empty shards). ``by_column=False``: shard = key-hash.
+    ``by_column=True``: keys[0] IS the precomputed integer
     shard column (taken mod n for safety)."""
     from cosmwasm_etl_ray.functions.hashing import split_table_by_shard
     from cosmwasm_etl_ray.functions.joins import _as_table
@@ -119,9 +113,7 @@ def shard_exchange(
     task per shard runs ``fn`` — no groupby shuffle, no executor ramp.
 
     ``by_column=True``: keys[0] is an already-computed integer shard
-    column (the raw-task twin of
-    map_batches(add_shard).groupby(col).map_groups(fn)); ``fn`` sees
-    the frame WITHOUT that column, like the groupby shape's drop."""
+    column; ``fn`` sees the frame WITHOUT that column."""
     from cosmwasm_etl_ray.functions.joins import _drain_block_refs
 
     if by_column:
@@ -200,7 +192,6 @@ def grouped_agg(
     final: str = "driver",
     shards: int = 64,
     driver_limit: int = 200_000,
-    exchange: str = "direct",
 ):
     """spec: output_col → (source_col, op) with op ∈
     sum|count|min|max|mean|sum_checked|sum_exact.
@@ -360,22 +351,7 @@ def grouped_agg(
     # shuffle mode: shard partials by key hash; each shard holds ALL
     # partials of its keys, so the within-shard reduce is global —
     # nothing high-cardinality ever lands on the driver
-    if exchange == "direct":
-        return shard_exchange(partial_ds, keys, reduce_partials, shards)
-
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_ashard"] = _key_shard(df, keys, shards)
-        return df
-
-    def reduce_shard(g: pd.DataFrame) -> pd.DataFrame:
-        return reduce_partials(g.drop(columns=["_ashard"]))
-
-    return (
-        partial_ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("_ashard")
-        .map_groups(reduce_shard, batch_format="pandas")
-    )
+    return shard_exchange(partial_ds, keys, reduce_partials, shards)
 
 
 def sharded_map_groups(
@@ -383,33 +359,15 @@ def sharded_map_groups(
     keys: list[str],
     fn,
     shards: int = 64,
-    exchange: str = "direct",
 ) -> "ray.data.Dataset":
     """Coarse-sharded per-key processing. ``groupby(key).map_groups``
     with 10k+ tiny keys pays one task + one pandas frame per key —
     pure overhead. Here rows shard by key hash (a key's rows land in
     exactly one shard) and ``fn`` receives a whole shard once; fn must
     handle ALL its keys vectorized (sort + groupby-transform), which
-    preserves per-key semantics at ~shards tasks total.
-
-    exchange="direct" (default) runs the shard exchange as raw tasks
-    (see ``shard_exchange``); "dataset" keeps the groupby shape."""
-    if exchange == "direct":
-        return shard_exchange(ds, keys, fn, shards)
-
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_gshard"] = _key_shard(df, keys, shards)
-        return df
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns=["_gshard"]))
-
-    return (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("_gshard")
-        .map_groups(run, batch_format="pandas")
-    )
+    preserves per-key semantics at ~shards tasks total. The exchange
+    runs as raw tasks (see ``shard_exchange``)."""
+    return shard_exchange(ds, keys, fn, shards)
 
 
 def stats_with_distinct(
@@ -420,7 +378,6 @@ def stats_with_distinct(
     distinct_name: str,
     shards: int = 64,
     batch_size: int = 65536,
-    exchange: str = "direct",
 ) -> "ray.data.Dataset":
     """Grouped counts/sums PLUS an exact count-distinct in ONE shuffle
     (the pair_stats_30m shape: volume sums + count(distinct hash),
@@ -442,10 +399,7 @@ def stats_with_distinct(
         c[distinct_col] = df[distinct_col].iloc[:1].repeat(len(c)).to_numpy() if len(c) else []
         d = df[keys + [distinct_col]].drop_duplicates()
         d = d.assign(_kind="d", **{m: 0 for m in measure_cols})
-        out = pd.concat([c, d[c.columns]], ignore_index=True)
-        if exchange != "direct":
-            out["_ashard"] = _key_shard(out, keys, shards)
-        return out
+        return pd.concat([c, d[c.columns]], ignore_index=True)
 
     def reduce_shard(g: pd.DataFrame) -> pd.DataFrame:
         c = g[g["_kind"] == "c"].groupby(keys, sort=False)[measure_cols].sum()
@@ -461,11 +415,7 @@ def stats_with_distinct(
         return out
 
     tagged = ds.map_batches(partial, batch_format="pandas", batch_size=batch_size)
-    if exchange == "direct":
-        return shard_exchange(tagged, keys, reduce_shard, shards)
-    return tagged.groupby("_ashard").map_groups(
-        reduce_shard, batch_format="pandas"
-    )
+    return shard_exchange(tagged, keys, reduce_shard, shards)
 
 
 def grouped_topk(

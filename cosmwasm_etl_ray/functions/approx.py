@@ -260,10 +260,9 @@ def heavy_hitters(
     sized ever shuffles. Requires phi > 1/(k+1) (asserted): below that
     the sketch can miss a qualifying key.
 
-    This is the scale form of the skew detector: stages/skew.py's
-    per-key count pre-aggregation finds the hot set exactly by paying
-    a key-cardinality shuffle; at corpus-scale cardinality this sketch
-    finds the same hot set for a k-row exchange."""
+    An exact per-key count pre-aggregation would find the hot set by
+    paying a key-cardinality shuffle; at corpus-scale cardinality this
+    sketch finds the same hot set for a k-row exchange."""
     assert phi_e4 * (k + 1) > 10_000, "phi must exceed the sketch bound 1/(k+1)"
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:

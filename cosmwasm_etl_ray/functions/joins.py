@@ -6,10 +6,10 @@ SQL; here the physical plan is explicit):
 - ``broadcast_join``: small side is materialized once, shipped via
   ``ray.put`` and merged per batch inside map_batches — no shuffle
   (J1/J3/J9 pattern: dimension lookups).
-- ``hash_join``: both sides large. Tag each side, union, add
-  ``bucket = hash(key) % B``, groupby(bucket), pandas-merge the two
-  tags inside each group — ONE shuffle total, the portable
-  partitioned hash join (J2 pattern).
+- ``hash_join``: both sides large. Each side's blocks split by
+  ``bucket = hash(key) % B`` in raw tasks, one raw task per bucket
+  pandas-merges its two sides — ONE exchange total, the partitioned
+  hash join (J2 pattern).
 - ``asof_join_groups``: sort-within-key + pandas merge_asof per group
   (J4/J5 as-of price join pattern).
 """
@@ -60,8 +60,8 @@ def _merge_sides(
     left_fold,
     right_fold,
 ) -> pd.DataFrame:
-    """One bucket's merge — shared by the Dataset shape and the direct
-    exchange so the two paths cannot drift semantically."""
+    """One bucket's merge: the optional per-side folds, then a pandas
+    merge (or the typed left-join padding for an empty right side)."""
     if right_fold is not None and not rhs.empty:
         rhs = right_fold(rhs)
     if left_fold is not None and not lhs.empty:
@@ -129,90 +129,7 @@ def _stabilize_left_pad(
     return out
 
 
-def hash_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    on: list[str] | str,
-    num_buckets: int = 32,
-    how: str = "inner",
-    suffixes: tuple[str, str] = ("_l", "_r"),
-    right_fold=None,
-    left_fold=None,
-    left_cols: list[str] | None = None,
-    right_cols: list[str] | None = None,
-    exchange: str = "direct",
-) -> "ray.data.Dataset":
-    """Partitioned hash join. Skewed keys should be pre-aggregated or
-    salted by the caller; the bucket count B is independent of cluster
-    size.
-
-    ``exchange="direct"`` (default): each side's blocks are drained on
-    the driver (refs only) and split by key-hash bucket with raw tasks
-    (num_returns=B); one raw task per bucket merges its splits — no
-    tagged union, no groupby shuffle, no executor ramp, and each side
-    keeps its own dtypes (the union path must canonicalize because its
-    null-padding widens them). ``exchange="dataset"`` keeps the
-    portable shape: tag sides, union, groupby(bucket), merge per group
-    — semantics pinned equal by tests/test_hash_join_dtypes.py.
-
-    ``right_fold(df) -> df`` / ``left_fold(df) -> df``, if given,
-    reduce that side's rows inside each bucket before the merge.
-    Because every row of a key lands in that key's bucket, a per-key
-    fold here is a GLOBAL fold — the final-reduce half of a map-side
-    partial aggregation (pre-agg per batch upstream, fold the partials
-    per bucket here), or a global dedup of the probe side, without a
-    second shuffle.
-    """
-    on = [on] if isinstance(on, str) else on
-    if exchange == "direct":
-        return _hash_join_direct(
-            left, right, on, num_buckets, how, suffixes,
-            right_fold, left_fold, left_cols, right_cols,
-        )
-    # Each side's column set (and pandas dtypes), taken from the
-    # dataset schemas ONCE. (Inferring by all-null content per bucket
-    # used to drop genuinely nullable columns that happened to be
-    # all-null within one bucket.) Callers with expensive lazy inputs
-    # pass the spec explicitly — schema() on a not-yet-executed
-    # pipeline runs part of it. The dtype map matters: the tagged
-    # UNION pads each side's missing columns with nulls, which pandas
-    # silently widens to float64 — without restoring the declared
-    # dtype, an int64 key would leave the join as float64 and hash
-    # into the WRONG bucket in any downstream join.
-    left_names, left_types = _side_spec(left, left_cols)
-    right_names, right_types = _side_spec(right, right_cols)
-
-    def tag(side: str):
-        def fn(t: pa.Table) -> pa.Table:
-            cols = [_canon_key_str(t[c]) for c in on]
-            bucket = (stable_hash64(*cols) % np.uint64(num_buckets)).astype(np.int32)
-            t = t.append_column("_bucket", pa.array(bucket, type=pa.int32()))
-            return t.append_column("_side", pa.array([side] * len(t), type=pa.string()))
-
-        return fn
-
-    unioned = left.map_batches(tag("L"), batch_format="pyarrow").union(
-        right.map_batches(tag("R"), batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lhs = _restore_types(
-            g.loc[g["_side"] == "L", [c for c in left_names if c in g.columns]],
-            left_types,
-        )
-        rhs = _restore_types(
-            g.loc[g["_side"] == "R", [c for c in right_names if c in g.columns]],
-            right_types,
-        )
-        return _merge_sides(
-            lhs, rhs, on, how, suffixes, right_names, right_types,
-            left_fold, right_fold,
-        )
-
-    return unioned.groupby("_bucket").map_groups(join_bucket, batch_format="pandas")
-
-
-# ------------------------------------------------- direct-exchange join
+# ------------------------------------------------------------- hash join
 
 
 def _as_table(b):
@@ -242,8 +159,7 @@ def from_pandas_stable(df: pd.DataFrame) -> pa.Table:
 
 def _hj_split_blocks(B: int, on: list[str], names: list[str] | None, *blocks):
     """Raw task: concat a run of one side's blocks, project to the
-    side's declared columns (the same projection the Dataset shape
-    applies per bucket), bucket by the canonical key hash, split
+    side's declared columns, bucket by the canonical key hash, split
     (num_returns=B; None for empty)."""
     from cosmwasm_etl_ray.functions.hashing import split_table_by_shard
 
@@ -298,12 +214,38 @@ def _drain_block_refs(ds: "ray.data.Dataset") -> list:
     return refs
 
 
-def _hash_join_direct(
-    left, right, on, B, how, suffixes, right_fold, left_fold, left_cols, right_cols
-):
+def hash_join(
+    left: "ray.data.Dataset",
+    right: "ray.data.Dataset",
+    on: list[str] | str,
+    num_buckets: int = 32,
+    how: str = "inner",
+    suffixes: tuple[str, str] = ("_l", "_r"),
+    right_fold=None,
+    left_fold=None,
+    left_cols: list[str] | None = None,
+    right_cols: list[str] | None = None,
+) -> "ray.data.Dataset":
+    """Partitioned hash join. Skewed keys should be pre-aggregated or
+    salted by the caller; the bucket count B is independent of cluster
+    size.
+
+    Each side's blocks are drained on the driver (refs only) and split
+    by key-hash bucket with raw tasks (num_returns=B); one raw task per
+    bucket merges its splits — no tagged union, no groupby shuffle, no
+    executor ramp, and each side keeps its own dtypes.
+
+    ``right_fold(df) -> df`` / ``left_fold(df) -> df``, if given,
+    reduce that side's rows inside each bucket before the merge.
+    Because every row of a key lands in that key's bucket, a per-key
+    fold here is a GLOBAL fold — the final-reduce half of a map-side
+    partial aggregation (pre-agg per batch upstream, fold the partials
+    per bucket here), or a global dedup of the probe side, without a
+    second shuffle.
+    """
+    on = [on] if isinstance(on, str) else on
+    B = num_buckets
     # project each side to its declared columns inside the split tasks
-    # (the Dataset shape projects per bucket) so both exchanges emit
-    # the same output schema
     left_names = list(left_cols) if left_cols is not None else None
     right_names = list(right_cols) if right_cols is not None else None
     pad_names = right_names
@@ -405,21 +347,9 @@ def _null_series(index, dtype) -> pd.Series:
     return pd.Series([None] * len(index), index=index, dtype="object")
 
 
-def _restore_types(df: pd.DataFrame, types: dict) -> pd.DataFrame:
-    """Cast union-padding-widened columns back to their declared dtypes
-    (only where they differ; non-castable values keep the wide type)."""
-    for c, t in types.items():
-        if c in df.columns and str(df[c].dtype) != str(t):
-            try:
-                df[c] = df[c].astype(t)
-            except (ValueError, TypeError):
-                pass
-    return df
-
-
 def _canon_key_str(col: "pa.ChunkedArray") -> np.ndarray:
     """Key column → canonical string array for bucket hashing: integral
-    float columns (the union-padding artifact) hash like their int64
+    float columns (a null-padding artifact) hash like their int64
     values, so both sides of a join bucket identically even when one
     side's key dtype was widened upstream."""
     a = np.asarray(col.to_numpy(zero_copy_only=False))

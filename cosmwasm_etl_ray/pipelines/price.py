@@ -353,143 +353,11 @@ class PriceTask:
         return done
 
     def process_epoch(self, epoch: int, manifest: dict) -> None:
-        if getattr(self.cfg, "price_exchange", "dataset") == "direct":
-            from cosmwasm_etl_ray.pipelines.price_direct import process_epoch_direct
+        from cosmwasm_etl_ray.pipelines.price_direct import process_epoch_direct
 
-            return process_epoch_direct(self, epoch, manifest)
-        return self._process_epoch_dataset(epoch, manifest)
+        process_epoch_direct(self, epoch, manifest)
 
-    def _process_epoch_dataset(self, epoch: int, manifest: dict) -> None:
-        from cosmwasm_etl_ray.pipelines.aggregator import _epoch_source_files
-
-        carry: dict = {"repo_chars": {}, "base_curve": [], "edges_key": None}
-        if epoch > 0 and os.path.exists(self._carry_path(epoch - 1)):
-            with open(self._carry_path(epoch - 1)) as f:
-                carry = json.load(f)
-
-        files = _epoch_source_files(manifest)
-        if not files:
-            self._finish(epoch, None, carry)
-            return
-
-        events = ray.data.read_parquet(
-            files, columns=["repo", "path", "commit", "content", "op"]
-        ).map_batches(_valid_events, batch_format="pyarrow").map_batches(
-            _event_lengths, batch_format="pyarrow"
-        )
-
-        # J6: state ⋈ events for previous lengths (prior epoch's state).
-        # The join deliberately shards by (repo, path) — hot REPOS are
-        # the norm (zipf), and a by-repo colocated join makes the hot
-        # repo's shard a straggler; only the (unavoidably per-repo)
-        # running sum shards by repo. A single-shuffle by-repo variant
-        # measured 1.6× SLOWER end to end for exactly that reason.
-        prior_files = (
-            list(self.store.partition_files(epoch - 1).values()) if epoch > 0 else []
-        )
-        if prior_files:
-            from cosmwasm_etl_ray.functions.joins import hash_join
-
-            state = ray.data.read_parquet(
-                prior_files, columns=["repo", "path", "content", "op"]
-            ).map_batches(_state_lengths, batch_format="pyarrow")
-            joined = hash_join(
-                events,
-                state,
-                on=["repo", "path"],
-                how="left",
-                left_cols={"repo": "object", "path": "object",
-                           "commit": "object", "new_len": "int64"},
-                right_cols={"repo": "object", "path": "object",
-                            "state_len": "int64"},
-            )
-        else:
-            joined = events.map_batches(
-                lambda df: df.assign(state_len=0), batch_format="pandas"
-            )
-
-        carry_chars = {k: int(v) for k, v in carry["repo_chars"].items()}
-
-        def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["repo", "path", "commit"], kind="stable")
-            in_epoch_prev = g.groupby(["repo", "path"], sort=False)["new_len"].shift(1)
-            prev = in_epoch_prev.fillna(g["state_len"].fillna(0)).astype("int64")
-            g["delta"] = g["new_len"] - prev
-            g = g.sort_values(["repo", "commit"], kind="stable")
-            cum = g.groupby("repo", sort=False)["delta"].cumsum()
-            seed = g["repo"].map(carry_chars).fillna(0).astype("int64")
-            g["repo_chars"] = (cum + seed).astype("int64")
-            g["_last"] = ~g.duplicated("repo", keep="last")  # per-repo final
-            return g[["repo", "commit", "repo_chars", "_last"]]
-
-        # materialized once (object store): feeds the base-curve
-        # extraction, the per-repo finals, and the rel_size map — the
-        # full per-event stream NEVER lands on the driver
-        sizes = sharded_map_groups(joined, ["repo"], per_shard, shards=32).materialize()
-
-        # per-repo finals (token-cardinality) — also resolves the base
-        # repo in auto mode: smallest repo of the first non-empty epoch,
-        # persisted in the carry
-        finals = sizes.filter(expr="_last == True").to_pandas()
-        base = carry.get("base") or self.base
-        if base is None and len(finals):
-            base = str(finals["repo"].min())
-        carry = {**carry, "base": base}
-
-        # base curve: carried tail + this epoch's base rows (ONE repo's
-        # series — bounded like the reference's price cache)
-        prev_curve = pd.DataFrame(
-            carry["base_curve"], columns=["commit", "repo_chars"]
-        )
-        base_rows = (
-            sizes.filter(expr=f"repo == '{base}'").to_pandas()
-            if base is not None
-            else pd.DataFrame()
-        )
-        if len(base_rows):
-            base_rows = base_rows[["commit", "repo_chars"]]
-        else:
-            base_rows = pd.DataFrame(columns=["commit", "repo_chars"])
-        curve = (
-            pd.concat([prev_curve, base_rows], ignore_index=True)
-            .sort_values("commit", kind="stable")
-            .reset_index(drop=True)
-        )
-        commits = curve["commit"].to_numpy().astype("U")
-        chars = curve["repo_chars"].to_numpy().astype("int64")
-        curve_ref = ray.put((commits, chars))
-
-        class RelSizeEpoch:
-            def __init__(self):
-                self.commits, self.chars = ray.get(curve_ref)
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                return relsize_asof(df, self.commits, self.chars)
-
-        out_ds = sizes.map_batches(
-            RelSizeEpoch, batch_format="pandas", concurrency=(1, 8)
-        )
-
-        # carry: per-repo finals (token-cardinality) + base curve tail
-        final_chars = dict(carry_chars)
-        if len(finals):
-            final_chars.update(
-                {r: int(c) for r, c in zip(finals["repo"], finals["repo_chars"])}
-            )
-        new_carry = {
-            "repo_chars": final_chars,
-            # only the last base point is needed for future as-ofs at
-            # later commits (epochs are commit-ordered)
-            "base_curve": [
-                [str(c), int(n)]
-                for c, n in curve.tail(1).itertuples(index=False)
-            ],
-            "edges_key": carry.get("edges_key"),
-            "base": carry.get("base"),
-        }
-        self._finish(epoch, out_ds, new_carry, epoch_for_routes=epoch)
-
-    def _finish(self, epoch: int, out, carry: dict,
+    def _finish(self, epoch: int, carry: dict,
                 epoch_for_routes: int | None = None,
                 parts_dir: str | None = None) -> None:
         import shutil
@@ -515,9 +383,8 @@ class PriceTask:
         os.replace(tmp, self._carry_path(epoch))
 
         # the output DIRECTORY rename is the commit marker (cursor):
-        # write distributed into a tmp dir, then swap into place.
-        # ``parts_dir``: the direct exchange's tasks already wrote
-        # their parts into a tmp dir — adopt it instead of re-writing
+        # ``parts_dir`` is the tmp dir the exchange's tasks wrote their
+        # parts into (None: an epoch with no source events)
         outdir = self._out(epoch)
         tmpdir = parts_dir or f"{outdir}.tmp.{os.getpid()}"
         # a crashed PRIOR run leaves orphan tmps under its old pid —
@@ -542,8 +409,6 @@ class PriceTask:
                     pass
         if parts_dir is None:
             shutil.rmtree(tmpdir, ignore_errors=True)
-            if out is not None:
-                out.write_parquet(tmpdir)
         # an all-empty output writes no files (and no dir) — the epoch
         # marker must exist regardless
         os.makedirs(tmpdir, exist_ok=True)
@@ -582,8 +447,7 @@ def _valid_events(t: pa.Table) -> pa.Table:
     """THE replay's validity predicate (stages/normalize._valid_mask),
     not a local rewrite: the derived task must drop exactly the rows
     the replay quarantined — a null-repo row that slips through here
-    crashes the dataset path's cumsum int cast and silently seeds the
-    direct path's carry from the wrong repo (factorize code -1)."""
+    silently seeds the carry from the wrong repo (factorize code -1)."""
     from cosmwasm_etl_ray.stages.normalize import _valid_mask
 
     return t.filter(_valid_mask(t))

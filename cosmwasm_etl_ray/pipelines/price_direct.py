@@ -1,5 +1,5 @@
 """Direct raw-task exchange for the incremental PriceTask — the same
-treatment `replay._replay_files_direct` gave the merge path, applied to
+treatment the replay's merge path gets (`pipelines/replay.py`), applied to
 the derived DAG's one expensive stage (measured 61 s of the 8M-event
 derived tick; the Dataset-shuffle shape spends ~19 s per epoch in
 executor ramp + hash-shuffle for ~4M skinny rows).
@@ -27,8 +27,8 @@ cross-epoch state, token-cardinality, file-backed):
                             write one parquet part into the epoch tmp
                             dir (the driver renames the dir = commit)
 
-Equivalence with the Dataset shape is pinned by
-tests/test_price_router.py::test_price_direct_matches_dataset.
+Checked against a serial pandas oracle by
+tests/test_price_router.py::test_price_task_matches_pandas_oracle.
 Reference semantics unchanged: aggregator task chain
 /root/reference/aggregator/aggregator.go:69-84.
 """
@@ -48,7 +48,7 @@ import ray
 from cosmwasm_etl_ray.compat import cached_remote
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
 
-PRICE_REPO_SHARDS = 32  # matches the Dataset path's sharded_map_groups
+PRICE_REPO_SHARDS = 32  # repo shards of the running-sum stage
 
 
 from cosmwasm_etl_ray.functions.hashing import split_table_by_shard as _split_table_by_shard
@@ -209,8 +209,8 @@ def _price_relsize_write(
 
 
 def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
-    """Drop-in replacement for PriceTask.process_epoch (selected by
-    EngineConfig.price_exchange="direct")."""
+    """PriceTask.process_epoch's body: one epoch through the raw-task
+    exchange described in the module docstring."""
     from cosmwasm_etl_ray.pipelines.aggregator import _epoch_source_files
     from cosmwasm_etl_ray.pipelines.replay import _plan_shards
 
@@ -234,7 +234,7 @@ def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
 
     files = _epoch_source_files(manifest)
     if not files:
-        task._finish(epoch, None, carry)
+        task._finish(epoch, carry)
         return
 
     prep = cached_remote(("price_prep", P), _price_prep_shard, num_returns=P)
@@ -335,4 +335,4 @@ def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
         "edges_key": carry.get("edges_key"),
         "base": carry.get("base"),
     }
-    task._finish(epoch, None, new_carry, epoch_for_routes=epoch, parts_dir=tmpdir)
+    task._finish(epoch, new_carry, epoch_for_routes=epoch, parts_dir=tmpdir)

@@ -406,8 +406,8 @@ FROM ranked WHERE rn = 1 AND op <> 'delete'
 """
 
 def cdc_heavy_repos(sf_dir: str) -> "pd.DataFrame":
-    """Hot-key detection over the change stream — the scale form of
-    stages/skew.py's exact per-key pre-count: a Misra-Gries summary
+    """Hot-key detection over the change stream without an exact
+    per-key pre-count: a Misra-Gries summary
     (<= 257 rows leave each block whatever the repo cardinality)
     proposes candidates, a broadcast count pass verifies them exactly,
     and the emitted shares are value-exact. phi = 5% of the stream;
@@ -736,7 +736,6 @@ def _delta_store(sf_dir: str):
         files.append(f)
     cfg = dataclasses.replace(
         _CFG,
-        merge_exchange="direct",
         state_layout="delta",
         epoch_max_events=n // 3 + 1,
     )

@@ -1,130 +1,98 @@
-"""The CDC replay pipeline: tail → normalize → shuffle → merge → commit.
+"""The CDC replay pipeline: tail → normalize → exchange → merge → commit.
 
 Graft of the reference parser's Run loop
 (/root/reference/parser/dex/dex.go:87-267): the contiguous height
 range becomes a contiguous range of change-log files (an epoch), the
-per-height parse becomes vectorized map_batches, the one-transaction
+per-height parse becomes vectorized Arrow kernels, the one-transaction
 insert+cursor becomes per-partition Parquet writes + a manifest commit,
 and quarantine rows become a side output under the same epoch.
 
-Execution shape per epoch (all lazy until the merge consumes):
+ONE execution shape applies every epoch — ``replay_files`` (the CLI,
+``tail_changes``, the gate) and ``apply_epoch`` (repair, quarantine
+replay, bootstrap) both run it:
 
-    read_parquet(files)                       # prune columns upstream
-      ├─ valid_events   → PartitionAssigner   # map_batches, pyarrow
-      │                 → fold_partial        # COMBINER map_batches
-      │                 → groupby("pid")      # THE one shuffle
-      │                 → MergeWithState      # actor-pool map_groups
-      │                 → stats rows (P)      # tiny take
-      └─ quarantine_events → write_parquet    # dead-letter side output
+    prep task per input shard (parquet row groups, or a run of
+    Dataset blocks for apply_epoch):
+        read → FlagAndPartition → fold_partial_arrow (COMBINER)
+             → split by pid                      # num_returns=P
+    chain task per (epoch, pid):
+        concat the pid's slices (block order) → MergeWithState
+        (quarantine side output + LWW fold onto the prior state
+        + atomic part-file write); the ObjectRef of (epoch-1, pid)
+        is an argument, so epochs pipeline per partition
+    driver: manifest commit, strictly in epoch order
+
+Raw Ray tasks, not a Dataset groupby: the hash-shuffle operator spawns
+an aggregator pool per execution (a measured fixed cost per epoch,
+BASELINE.md), and the routing here needs no repartition decision —
+``pid`` is assigned upstream and P is fixed by the store.
 """
 
 from __future__ import annotations
 
-import os
-
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
 import ray.data
 
 from cosmwasm_etl_ray.compat import cached_remote
 from cosmwasm_etl_ray.config import DEFAULT_CONFIG, EngineConfig
 from cosmwasm_etl_ray.stages.merge import (
-    KEY_COLS,
     OP_COL,
     MergeWithState,
     fold_lww_arrow,
     fold_override,
-    fold_partial,
     fold_partial_arrow,
 )
 from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
 
 
-def _split_block_by_pid(t: "pa.Table", num_partitions: int):
-    """One raw task of the direct exchange: slice a combined block into
-    one sub-table per pid (single argsort + zero-copy take + slices).
-    Returns a ``num_returns=P`` tuple; empty pids return None so the
-    object store holds a tiny marker, not an empty table."""
+def _prep_split(t: "pa.Table", num_partitions: int, ruleset, combine: bool):
+    """The pre-exchange half of an epoch, fused into one task body:
+    flag+partition → LWW-combine (unless override mode) → slice by pid
+    (single argsort + zero-copy take). Returns a ``num_returns=P``
+    tuple; empty pids return None so the object store holds a tiny
+    marker, not an empty table. Depends only on the epoch's own input,
+    never on prior state."""
     from cosmwasm_etl_ray.functions.hashing import split_table_by_shard
 
-    pid = (
-        t["pid"].to_numpy(zero_copy_only=False) if t.num_rows else None
-    )
-    return split_table_by_shard(t, pid, num_partitions)
-
-
-def _merge_pid_parts(merge: MergeWithState, *parts):
-    """One raw merge task: concatenate a pid's slices (in block order —
-    the same positional tie-break the groupby path sees) and run the
-    unchanged MergeWithState on the group."""
-    tables = [
-        _dict_decode_cols(p)
-        for p in parts
-        if p is not None and p.num_rows > 0
-    ]
-    if not tables:
-        return None
-    group = pa.concat_tables(tables, promote_options="permissive")
-    return merge(group)
-
-
-def _dict_encode_cols(t: "pa.Table", cols: tuple) -> "pa.Table":
-    """Dictionary-encode repeating passthrough columns for the
-    exchange leg (int32 indices + small dict instead of repeated
-    strings through the object store). Decoded back at merge entry —
-    purely a wire format."""
-    import pyarrow.compute as pc
-
-    for c in cols:
-        if c in t.column_names:
-            i = t.schema.get_field_index(c)
-            t = t.set_column(
-                i, c, pc.dictionary_encode(t[c].combine_chunks())
-            )
-    return t
-
-
-def _dict_decode_cols(t: "pa.Table") -> "pa.Table":
-    """Undo _dict_encode_cols: cast any dictionary column back to its
-    value type so the merge fold and the on-disk state never see the
-    wire encoding."""
-    import pyarrow.types as pt
-
-    for i, f in enumerate(t.schema):
-        if pt.is_dictionary(f.type):
-            t = t.set_column(
-                i, f.name, t[f.name].cast(f.type.value_type)
-            )
-    return t
+    out = FlagAndPartition(num_partitions, ruleset=ruleset)(t)
+    if combine:
+        out = fold_partial_arrow(out)
+    pid = out["pid"].to_numpy(zero_copy_only=False) if out.num_rows else None
+    return split_table_by_shard(out, pid, num_partitions)
 
 
 def _prep_split_shard(
-    path: str,
-    row_groups: list[int],
-    num_partitions: int,
-    ruleset,
-    combine: bool,
-    dict_cols: tuple = (),
+    path: str, row_groups: list[int], num_partitions: int, ruleset, combine: bool
 ):
-    """One raw prep task of the direct replay: read a shard (a run of
-    parquet row groups) → flag+partition → LWW-combine → split by pid.
-    Fusing the whole pre-shuffle half into one task (instead of a
+    """Prep task over a file shard (a run of parquet row groups).
+    Fusing read+flag+combine+split into one task (instead of a
     read→map→map Dataset execution) removes the streaming executor's
     per-execution ramp and its per-operator CPU allocation, which
     measurably cap the replay at ~45% utilization on an idle 32-CPU
     box (BASELINE.md). Task count = input shards, so parallelism
     follows the data, not the operator plan."""
     t = pq.ParquetFile(path).read_row_groups(row_groups)
-    fp = FlagAndPartition(num_partitions, ruleset=ruleset)
-    out = fp(t)
-    if combine:
-        out = fold_partial_arrow(out)
-    if dict_cols:
-        out = _dict_encode_cols(out, dict_cols)
-    return _split_block_by_pid(out, num_partitions)
+    return _prep_split(t, num_partitions, ruleset, combine)
+
+
+def _prep_split_blocks(num_partitions: int, ruleset, combine: bool, *blocks):
+    """Prep task over a run of Dataset blocks (apply_epoch's input),
+    concatenated in block order — the same positional tie-break a
+    file shard's row order gives."""
+    from cosmwasm_etl_ray.functions.joins import _as_table
+
+    tabs = [_as_table(b) for b in blocks if b is not None]
+    tabs = [t for t in tabs if t.num_rows]
+    if not tabs:
+        return None if num_partitions == 1 else (None,) * num_partitions
+    t = pa.concat_tables(tabs, promote_options="permissive")
+    return _prep_split(t, num_partitions, ruleset, combine)
 
 
 def _plan_shards(files: list[str], target_rows: int) -> list[tuple[str, list[int]]]:
@@ -153,8 +121,7 @@ def _check_partition_compat(store, P: int, layout: str = "full") -> None:
     """num_partitions is part of the store's identity: pid = hash(key) % P
     routes keys to state files, so replaying with a different P would
     silently send a key's new events to a different partition than its
-    existing state row. Manifests record P; refuse a mismatch. Shared by
-    every replay path (serial, direct, actor, actor-direct). The state
+    existing state row. Manifests record P; refuse a mismatch. The state
     layout is equally identity (a full reader over delta chains would
     serve one epoch's slice as the whole state) — refuse that too."""
     latest = store.latest_epoch()
@@ -175,35 +142,55 @@ def _check_partition_compat(store, P: int, layout: str = "full") -> None:
 
 
 def _launch_prep_tasks(
-    batch: list[str], P: int, cfg: EngineConfig, prep, ruleset_ref, ncpu: int
+    batch: list[str], P: int, cfg: EngineConfig, ruleset_ref, ncpu: int
 ) -> tuple[int, list[list]]:
-    """Fan out one epoch's read→flag→combine→pid-split prep tasks and
-    return (input_rows, per_pid ref lists). Shared by the direct and
-    actor-direct replay paths — the shard-cap tuning below must stay
-    common to both.
+    """Fan out one epoch's file-shard prep tasks and return
+    (input_rows, per_pid ref lists).
 
     Shard cap: in-flight ObjectRefs per epoch are shards × P, and the
     raylet measurably degrades past ~4k small objects in flight
     (BASELINE.md: 32M-row run 69.8 s → 11.0 s with coarser shards).
     Bound shards/epoch at 2×NCPU — enough to fill every core — by
     raising the per-shard row target on large epochs."""
+    prep = cached_remote(("replay_prep", P), _prep_split_shard, num_returns=P)
     rows = sum(pq.read_metadata(f).num_rows for f in batch)
     target = max(cfg.batch_size, -(-rows // (2 * ncpu)))
     per_pid: list[list] = [[] for _ in range(P)]
     for path, rgs in _plan_shards(batch, target):
-        refs = prep.remote(
-            path,
-            rgs,
-            P,
-            ruleset_ref,
-            not cfg.override_coalesce,
-            tuple(cfg.exchange_dict_cols),
-        )
-        if P == 1:
-            refs = [refs]
-        for p, r in enumerate(refs):
-            per_pid[p].append(r)
+        refs = prep.remote(path, rgs, P, ruleset_ref, not cfg.override_coalesce)
+        _route(refs, P, per_pid)
     return rows, per_pid
+
+
+def _launch_prep_blocks(
+    ds: "ray.data.Dataset", P: int, cfg: EngineConfig, ncpu: int
+) -> list[list]:
+    """apply_epoch's prep fan-out: drain the Dataset's block refs (refs
+    only — blocks stay in the object store) and run runs of
+    consecutive blocks through the same prep body, ≤ 2×NCPU tasks (the
+    file path's shard cap)."""
+    from cosmwasm_etl_ray.functions.joins import _drain_block_refs
+
+    prep = cached_remote(("replay_prep_blocks", P), _prep_split_blocks, num_returns=P)
+    ruleset_ref = ray.put(cfg.rules) if cfg.rules is not None else None
+    blocks = _drain_block_refs(ds)
+    per_pid: list[list] = [[] for _ in range(P)]
+    n_tasks = max(1, min(len(blocks), 2 * ncpu))
+    for idx in np.array_split(np.arange(len(blocks)), n_tasks) if blocks else []:
+        if len(idx):
+            refs = prep.remote(
+                P, ruleset_ref, not cfg.override_coalesce, *[blocks[i] for i in idx]
+            )
+            _route(refs, P, per_pid)
+    return per_pid
+
+
+def _route(refs, P: int, per_pid: list[list]) -> None:
+    """Append one prep task's P split refs to the per-pid lists."""
+    if P == 1:
+        refs = [refs]
+    for p, r in enumerate(refs):
+        per_pid[p].append(r)
 
 
 def _merge_pid_chain(
@@ -226,11 +213,7 @@ def _merge_pid_chain(
     orders anything). Returns (stats_table | None, state_file | None)
     for the next link."""
     prior = prev[1] if prev is not None else committed_prior
-    tables = [
-        _dict_decode_cols(p)
-        for p in parts
-        if p is not None and p.num_rows > 0
-    ]
+    tables = [p for p in parts if p is not None and p.num_rows > 0]
     if not tables:
         return (None, prior)
     group = pa.concat_tables(tables, promote_options="permissive")
@@ -245,57 +228,58 @@ def _merge_pid_chain(
     return (stats, stats["file"][0].as_py())
 
 
-def _direct_exchange_stats(
-    flagged: "ray.data.Dataset", merge: MergeWithState, num_partitions: int
-) -> pd.DataFrame:
-    """Spawn-free exchange replacing ``groupby("pid").map_groups``:
-    stream the combined blocks out of the dataset, split each by pid
-    with a raw task, then run ONE raw merge task per touched partition.
-
-    Why raw Ray here (the documented Dataset-API exception): Ray Data's
-    hash-shuffle operator creates and force-shuts-down its aggregator
-    actor pool per dataset execution — a measured ~1.7 s fixed cost per
-    epoch at any CPU count (BASELINE.md), which dominates small/medium
-    epochs and caps multi-epoch scaling. The raw-task exchange has no
-    per-epoch pool. Partitioning assumption: ``pid`` is already
-    assigned upstream (FlagAndPartition) and P is fixed by the store,
-    so this is a pure routing exchange, not a repartition decision.
-
-    Scale bound: the driver holds O(blocks × P) ObjectRefs during one
-    epoch. At the 100-TB shape either raise the block size or use
-    cfg.merge_exchange="streaming" — crossover in BASELINE.md."""
-    import ray as _ray
-
-    P = num_partitions
-    split = cached_remote(
-        ("replay_split", P), _split_block_by_pid, num_returns=P
-    )
-    mtask = cached_remote("replay_merge", _merge_pid_parts)
-
-    per_pid: list[list] = [[] for _ in range(P)]
-    for bundle in flagged.iter_internal_ref_bundles():
-        for block_ref, _md in bundle.blocks:
-            refs = split.remote(block_ref, P)
-            if P == 1:
-                refs = [refs]
-            for p, r in enumerate(refs):
-                per_pid[p].append(r)
-
-    merge_ref = _ray.put(merge)
-    stats_refs = [mtask.remote(merge_ref, *parts) for parts in per_pid if parts]
-    tables = [t for t in _ray.get(stats_refs) if t is not None]
-    if not tables:
-        return pd.DataFrame(
-            columns=[
-                "pid",
-                "rows",
-                "live_rows",
-                "merged_partials",
-                "quarantined",
-                "file",
-            ]
+def _launch_chain(
+    store, e: int, per_pid: list[list], cfg: EngineConfig, prior: dict, prev_refs: dict
+) -> list:
+    """Submit epoch ``e``'s P chain links; ``prior`` is pid → committed
+    state file and ``prev_refs`` pid → the previous epoch's link (both
+    empty for the delta layout, whose links fold only their own rows
+    into an append-only file). Updates ``prev_refs``."""
+    chain = cached_remote("replay_chain", _merge_pid_chain)
+    wave = []
+    for p, parts in enumerate(per_pid):
+        ref = chain.remote(
+            store.state_dir,
+            e,
+            p,
+            cfg.override_coalesce,
+            store.quarantine_dir,
+            prior.get(p),
+            prev_refs.get(p),
+            *parts,
         )
-    return pa.concat_tables(tables).to_pandas()
+        prev_refs[p] = ref
+        wave.append(ref)
+    return wave
+
+
+def _commit_wave(
+    store,
+    e: int,
+    offset_range: tuple[str, str],
+    rows: int | None,
+    wave: list,
+    P: int,
+    layout: str,
+) -> dict:
+    """Wait for one epoch's chain links and commit its manifest — the
+    single commit protocol of every apply path."""
+    stats = [r[0] for r in ray.get(wave) if r[0] is not None]
+    stats = pa.concat_tables(stats).to_pylist() if stats else []
+    quarantined = sum(s["quarantined"] for s in stats)
+    touched = {
+        s["pid"]: {"file": s["file"], "rows": s["rows"], "live_rows": s["live_rows"]}
+        for s in stats
+    }
+    counts = {
+        "input_events": int(rows) if rows is not None else None,
+        "applied_events": int(rows) - quarantined if rows is not None else None,
+        "quarantined": quarantined,
+        "touched_partitions": len(touched),
+    }
+    return store.commit_epoch(
+        e, touched, offset_range, counts, num_partitions=P, layout=layout
+    )
 
 
 def plan_epochs(files: list[str], cfg: EngineConfig) -> list[list[str]]:
@@ -318,26 +302,6 @@ def plan_epochs(files: list[str], cfg: EngineConfig) -> list[list[str]]:
     return epochs
 
 
-def _flag_and_combine(
-    changes: "ray.data.Dataset", cfg: EngineConfig
-) -> "ray.data.Dataset":
-    """The pre-shuffle half of an epoch: flag+partition, then (unless
-    override mode) the LWW combiner. Depends only on the epoch's OWN
-    input — never on prior state — so epoch e+1's instance may run
-    while epoch e's merge is still holding the shuffle barrier."""
-    flagged = changes.map_batches(
-        FlagAndPartition(cfg.num_partitions, ruleset=cfg.rules),
-        batch_format="pyarrow",
-    )
-    if not cfg.override_coalesce:
-        flagged = flagged.map_batches(
-            fold_partial_arrow,
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-        )
-    return flagged
-
-
 def apply_epoch(
     changes: "ray.data.Dataset",
     store,
@@ -345,69 +309,23 @@ def apply_epoch(
     cfg: EngineConfig = DEFAULT_CONFIG,
     offset_range: tuple[str, str] = ("", ""),
     input_rows: int | None = None,
-    preflagged: "ray.data.Dataset | None" = None,
 ) -> dict:
-    """Apply one epoch of change events to the store — ONE pass over
-    the input: flag+partition → combiner → shuffle → merge (which also
-    writes the quarantine side output per partition). Idempotent:
-    re-running a committed epoch is a no-op; re-running an uncommitted
-    (crashed) epoch overwrites the same partition files.
-
-    ``preflagged``: an already flag+combined dataset for this epoch
-    (the pipelined replay prefetches it while the previous epoch's
-    merge runs); when given, ``changes`` is ignored."""
+    """Apply one epoch of change events held in a Dataset through the
+    replay's chain: block-run prep tasks → one merge link per pid →
+    manifest commit (which also writes the quarantine side output per
+    partition). Idempotent: re-running a committed epoch is a no-op;
+    re-running an uncommitted (crashed) epoch overwrites the same
+    partition files. Full-layout stores only — a delta store refuses
+    (its links would need the chain-aware write path)."""
     if store.is_committed(epoch):
         return store.manifest(epoch)
 
-    _check_partition_compat(store, cfg.num_partitions)
-
-    prior = store.partition_files()
-
-    flagged = preflagged if preflagged is not None else _flag_and_combine(changes, cfg)
-    merge = MergeWithState(
-        store.state_dir,
-        epoch,
-        prior,
-        override=cfg.override_coalesce,
-        quarantine_root=store.quarantine_dir,
-    )
-
-    if cfg.merge_exchange == "direct" and not cfg.merge_concurrency:
-        stats = _direct_exchange_stats(flagged, merge, cfg.num_partitions)
-    else:
-
-        def merge_fn(group):
-            return merge(group)
-
-        mg_kwargs = {}
-        if cfg.merge_concurrency:
-            mg_kwargs["concurrency"] = cfg.merge_concurrency
-        stats = (
-            flagged.groupby("pid")
-            .map_groups(merge_fn, batch_format="pyarrow", **mg_kwargs)
-            .to_pandas()
-        )
-
-    quarantined = int(stats["quarantined"].sum()) if len(stats) else 0
-    touched = {
-        int(r.pid): {
-            "file": r.file,
-            "rows": int(r.rows),
-            "live_rows": int(r.live_rows),
-        }
-        for r in stats.itertuples()
-    }
-    counts = {
-        "input_events": int(input_rows) if input_rows is not None else None,
-        "applied_events": (
-            int(input_rows) - quarantined if input_rows is not None else None
-        ),
-        "quarantined": quarantined,
-        "touched_partitions": len(touched),
-    }
-    return store.commit_epoch(
-        epoch, touched, offset_range, counts, num_partitions=cfg.num_partitions
-    )
+    P = cfg.num_partitions
+    _check_partition_compat(store, P)
+    ncpu = int(ray.cluster_resources().get("CPU", 32))
+    per_pid = _launch_prep_blocks(changes, P, cfg, ncpu)
+    wave = _launch_chain(store, epoch, per_pid, cfg, store.partition_files(), {})
+    return _commit_wave(store, epoch, offset_range, input_rows, wave, P, "full")
 
 
 def pending_files(files: list[str], store) -> tuple[list[str], int]:
@@ -424,7 +342,7 @@ def pending_files(files: list[str], store) -> tuple[list[str], int]:
         return files, 0
     fileset = set(files)
     # walk manifests newest-first to the most recent FILE cursor —
-    # bootstrap/repair/quarantine/direct epochs carry no file range
+    # bootstrap/repair/quarantine/compact epochs carry no file range
     # and are skipped
     for e in reversed(store.committed_epochs()):
         hi = store.manifest(e)["offset_range"][1]
@@ -447,300 +365,68 @@ def replay_files(
     manifest's offset_range), apply every remaining epoch in order. The
     epoch barrier is the reference's parent-height wait analogue
     (/root/reference/aggregator/task.go:785-811): epoch e+1's merge
-    reads epoch e's state."""
+    reads epoch e's state — per partition, through the chain."""
     todo, start = pending_files(files, store)
     epochs = plan_epochs(todo, cfg)
-    if cfg.state_layout == "delta" and epochs:
-        if cfg.merge_exchange != "direct" or cfg.state_tier != "disk":
-            raise ValueError(
-                "state_layout='delta' requires merge_exchange='direct' "
-                "and state_tier='disk' (the production path); got "
-                f"exchange={cfg.merge_exchange!r}, tier={cfg.state_tier!r}"
-            )
-        if cfg.override_coalesce:
-            raise ValueError(
-                "state_layout='delta' is whole-row LWW only: Override "
-                "column-coalesce folds are not associative across "
-                "epochs, so delta chains cannot reproduce them"
-            )
-    if cfg.state_tier == "actor" and epochs:
-        if cfg.merge_exchange == "direct":
-            return _replay_files_actor_direct(epochs, start, store, cfg)
-        return _replay_files_actor(epochs, start, store, cfg)
-    if (
-        cfg.merge_exchange == "direct"
-        and not cfg.merge_concurrency
-        and epochs
-    ):
-        return _replay_files_direct(epochs, start, store, cfg)
-    if cfg.pipeline_epochs and len(epochs) > 1:
-        return _replay_files_pipelined(epochs, start, store, cfg)
-    out = []
-    for i, batch in enumerate(epochs):
-        e = start + i
-        ds = ray.data.read_parquet(batch)
-        rows = sum(pq.read_metadata(f).num_rows for f in batch)
-        out.append(
-            apply_epoch(ds, store, e, cfg, (batch[0], batch[-1]), input_rows=rows)
+    if not epochs:
+        return []
+    if cfg.state_layout == "delta" and cfg.override_coalesce:
+        raise ValueError(
+            "state_layout='delta' is whole-row LWW only: Override "
+            "column-coalesce folds are not associative across "
+            "epochs, so delta chains cannot reproduce them"
         )
-    return out
+    return _replay_files_direct(epochs, start, store, cfg)
 
 
 def _replay_files_direct(
     epochs: list[list[str]], start: int, store, cfg: EngineConfig
 ) -> list[dict]:
-    """Direct-exchange replay with PID-LEVEL epoch chaining — the
-    engine's fast path for multi-epoch backlogs.
+    """The replay engine: file-shard prep tasks per epoch, then the
+    pid-chained merge links.
 
-    Per epoch, the read+flag+combine dataset streams on the driver's
-    main thread (``iter_internal_ref_bundles``) and each combined block
-    is split by pid with a raw task. The merge for (epoch e, pid p) is
-    a raw task whose FIRST argument is the ObjectRef of (e-1, p)'s
-    result — Ray's dependency tracking replaces the global per-epoch
-    shuffle barrier with 64 independent per-partition chains, so epoch
-    e+1's drain and e's merges overlap without threads (the threaded
-    prefetch in _replay_files_pipelined measurably collapses under the
-    direct drain — two driver threads fighting over submission).
+    The merge for (epoch e, pid p) is a raw task whose arguments
+    include the ObjectRef of (e-1, p)'s result — Ray's dependency
+    tracking replaces a global per-epoch barrier with P independent
+    per-partition chains, so epoch e+1's prep and e's merges overlap
+    without threads.
 
-    Durability is unchanged: each link writes its partition file
-    tmp+rename, the driver commits manifests strictly in epoch order,
-    and a crash leaves later epochs' orphan files that the re-run
-    overwrites (an epoch exists only when its manifest does).
-    Backpressure: at most MAX_WAVES epochs of split outputs are in
-    flight; the driver commits (blocks on) the oldest wave first."""
-    import ray as _ray
-
+    Durability: each link writes its partition file tmp+rename, the
+    driver commits manifests strictly in epoch order, and a crash
+    leaves later epochs' orphan files that the re-run overwrites (an
+    epoch exists only when its manifest does). Backpressure: at most
+    MAX_WAVES epochs of split outputs are in flight; the driver
+    commits (blocks on) the oldest wave first."""
     MAX_WAVES = 2
     P = cfg.num_partitions
     delta = cfg.state_layout == "delta"
     _check_partition_compat(store, P, layout=cfg.state_layout)
 
-    prep = cached_remote(("replay_prep", P), _prep_split_shard, num_returns=P)
-    chain = cached_remote("replay_chain", _merge_pid_chain)
-    ruleset_ref = _ray.put(cfg.rules) if cfg.rules is not None else None
-
-    committed_prior = store.partition_files()  # pid -> newest state file
+    ruleset_ref = ray.put(cfg.rules) if cfg.rules is not None else None
+    # pid -> newest committed state file; the delta layout reads no
+    # prior state and chains nothing (merges across epochs are
+    # independent tasks — the read side folds the chain)
+    committed_prior = {} if delta else store.partition_files()
     prev_refs: dict[int, object] = {}
     pending: list[tuple] = []
     out: list[dict] = []
 
-    def _commit(entry) -> dict:
-        e, offset_range, rows, refs = entry
-        results = _ray.get(refs)
-        stats_tables = [r[0] for r in results if r[0] is not None]
-        if stats_tables:
-            stats = pa.concat_tables(stats_tables).to_pandas()
-        else:
-            stats = pd.DataFrame(
-                columns=["pid", "rows", "live_rows", "quarantined", "file"]
-            )
-        quarantined = int(stats["quarantined"].sum()) if len(stats) else 0
-        touched = {
-            int(r.pid): {
-                "file": r.file,
-                "rows": int(r.rows),
-                "live_rows": int(r.live_rows),
-            }
-            for r in stats.itertuples()
-        }
-        counts = {
-            "input_events": int(rows),
-            "applied_events": int(rows) - quarantined,
-            "quarantined": quarantined,
-            "touched_partitions": len(touched),
-        }
-        return store.commit_epoch(
-            e,
-            touched,
-            offset_range,
-            counts,
-            num_partitions=P,
-            layout=cfg.state_layout,
-        )
-
     for i, batch in enumerate(epochs):
         e = start + i
         if store.is_committed(e):
             out.append(store.manifest(e))
             continue
-        ncpu = int(_ray.cluster_resources().get("CPU", 32))
-        rows, per_pid = _launch_prep_tasks(batch, P, cfg, prep, ruleset_ref, ncpu)
-        wave = []
-        for p in range(P):
-            # delta layout: no prior-state read and no pid chaining —
-            # each epoch folds ONLY its own rows into an append-only
-            # delta file (the read side folds the chain), so merges
-            # across epochs are fully independent tasks
-            ref = chain.remote(
-                store.state_dir,
-                e,
-                p,
-                cfg.override_coalesce,
-                store.quarantine_dir,
-                None if delta else committed_prior.get(p),
-                None if delta else prev_refs.get(p),
-                *per_pid[p],
-            )
-            prev_refs[p] = ref
-            wave.append(ref)
+        ncpu = int(ray.cluster_resources().get("CPU", 32))
+        rows, per_pid = _launch_prep_tasks(batch, P, cfg, ruleset_ref, ncpu)
+        wave = _launch_chain(
+            store, e, per_pid, cfg, committed_prior, {} if delta else prev_refs
+        )
         pending.append((e, (batch[0], batch[-1]), rows, wave))
         while len(pending) >= MAX_WAVES:
-            out.append(_commit(pending.pop(0)))
+            out.append(_commit_wave(store, *pending.pop(0), P, cfg.state_layout))
 
     for entry in pending:
-        out.append(_commit(entry))
-    return out
-
-
-def _replay_files_pipelined(
-    epochs: list[list[str]], start: int, store, cfg: EngineConfig
-) -> list[dict]:
-    """Disk-tier replay with epoch-level pipelining: while epoch e's
-    merge holds the shuffle barrier, epoch e+1's read+flag+combine
-    materializes on a background thread (it depends only on its own
-    input files, never on e's state). Epoch e+1's MERGE still starts
-    only after e's manifest commits — ordering, idempotency and crash
-    recovery are identical to the serial loop."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from cosmwasm_etl_ray.compat import ensure_thread_safe_lazy_imports
-
-    ensure_thread_safe_lazy_imports()
-
-    def prep(batch: list[str]) -> "ray.data.Dataset":
-        return _flag_and_combine(ray.data.read_parquet(batch), cfg).materialize()
-
-    out = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        fut = pool.submit(prep, epochs[0])
-        for i, batch in enumerate(epochs):
-            flagged = fut.result()
-            if i + 1 < len(epochs):
-                fut = pool.submit(prep, epochs[i + 1])
-            e = start + i
-            rows = sum(pq.read_metadata(f).num_rows for f in batch)
-            out.append(
-                apply_epoch(
-                    flagged,
-                    store,
-                    e,
-                    cfg,
-                    (batch[0], batch[-1]),
-                    input_rows=rows,
-                    preflagged=flagged,
-                )
-            )
-    return out
-
-
-def _replay_files_actor(
-    epochs: list[list[str]], start: int, store, cfg: EngineConfig
-) -> list[dict]:
-    """Actor-resident replay (cfg.state_tier="actor"): ONE StateShard
-    pool is recovered from the last committed checkpoint and holds the
-    merge state in RAM across ALL epochs — no per-epoch state-file
-    re-read (the disk path's deliberate cheap-restart cost). Each epoch
-    still checkpoints its dirty partitions + manifest, so crash
-    recovery is identical: load the last committed epoch, re-apply the
-    tail. Quarantine rows are dropped (counted in the manifest), not
-    persisted — the dead-letter side output belongs to the disk path."""
-    from cosmwasm_etl_ray.state.actor_state import ActorStateTier
-
-    _check_partition_compat(store, cfg.num_partitions)
-
-    tier = ActorStateTier.from_store(store, cfg, num_actors=cfg.actor_state_shards)
-    out = []
-    for i, batch in enumerate(epochs):
-        e = start + i
-        if store.is_committed(e):
-            out.append(store.manifest(e))
-            continue
-        rows = sum(pq.read_metadata(f).num_rows for f in batch)
-        stats = tier.apply_changes(ray.data.read_parquet(batch))
-        out.append(
-            tier.flush(
-                store,
-                e,
-                offset_range=(batch[0], batch[-1]),
-                input_rows=rows,
-                applied_rows=rows - stats["invalid"],
-            )
-        )
-    return out
-
-
-def _replay_files_actor_direct(
-    epochs: list[list[str]], start: int, store, cfg: EngineConfig
-) -> list[dict]:
-    """The COMPOSED multi-node path (all three levers together):
-
-    - direct fused prep (``merge_exchange="direct"``): read→flag→
-      combine→pid-split as raw tasks, no Dataset executor ramp;
-    - actor-resident merge state (``state_tier="actor"``): prep's
-      per-pid slices ship STRAIGHT to the owning StateShard actor (the
-      ObjectRefs pass through — nothing lands on the driver), and the
-      prior state never re-reads from disk between epochs — the lever
-      that wins when state lives on remote/throttled storage
-      (tools/crossover_state_tier.py measures the crossover);
-    - epoch overlap (``pipeline_epochs``): epoch e+1's prep tasks run
-      while e's applies and flush drain (checkpoint purity holds — e+1
-      slices are SUBMITTED to the actors only after flush(e) returns).
-
-    Durability is unchanged: every epoch checkpoints dirty partitions +
-    manifest; crash recovery loads the last committed epoch and
-    re-applies the tail. Quarantine rows drop shard-side (counted in
-    the manifest) like the plain actor path."""
-    import ray as _ray
-
-    from cosmwasm_etl_ray.state.actor_state import ActorStateTier
-
-    P = cfg.num_partitions
-    _check_partition_compat(store, P)
-
-    tier = ActorStateTier.from_store(store, cfg, num_actors=cfg.actor_state_shards)
-    prep = cached_remote(("replay_prep", P), _prep_split_shard, num_returns=P)
-    ruleset_ref = _ray.put(cfg.rules) if cfg.rules is not None else None
-    ncpu = int(_ray.cluster_resources().get("CPU", 32))
-
-    def launch_prep(batch: list[str]):
-        return _launch_prep_tasks(batch, P, cfg, prep, ruleset_ref, ncpu)
-
-    order = [(start + i, b) for i, b in enumerate(epochs)]
-    preps: dict[int, tuple] = {}
-
-    def maybe_launch(i: int) -> None:
-        if i < len(order) and cfg.pipeline_epochs:
-            e, batch = order[i]
-            if not store.is_committed(e) and i not in preps:
-                preps[i] = launch_prep(batch)
-
-    out: list[dict] = []
-    maybe_launch(0)
-    for i, (e, batch) in enumerate(order):
-        if store.is_committed(e):
-            out.append(store.manifest(e))
-            maybe_launch(i + 1)
-            continue
-        rows, per_pid = preps.pop(i) if i in preps else launch_prep(batch)
-        # overlap: the NEXT epoch's prep tasks stream while this
-        # epoch's applies + flush drain on the actors
-        maybe_launch(i + 1)
-        apply_refs = []
-        for p in range(P):
-            h = tier._handle(p)
-            for r in per_pid[p]:
-                apply_refs.append(h.apply.remote(p, r))
-        counts = _ray.get(apply_refs)
-        invalid = sum(c[1] for c in counts)
-        out.append(
-            tier.flush(
-                store,
-                e,
-                offset_range=(batch[0], batch[-1]),
-                input_rows=rows,
-                applied_rows=rows - invalid,
-            )
-        )
+        out.append(_commit_wave(store, *entry, P, cfg.state_layout))
     return out
 
 
@@ -803,8 +489,6 @@ def lookup_state(
 
     if store_layout(store) == "delta":
         return lookup_state_delta(store, keys, num_partitions)
-    import numpy as np
-
     from cosmwasm_etl_ray.functions.hashing import assign_partition
 
     pids = np.unique(
@@ -816,18 +500,6 @@ def lookup_state(
     )
     pfiles = store.partition_files()
     files = [pfiles[int(p)] for p in pids if int(p) in pfiles]
-    key_ref = ray.put(keys[["repo", "path"]].drop_duplicates())
-
-    def probe(df: "pd.DataFrame") -> "pd.DataFrame":
-        want = ray.get(key_ref)
-        hit = df.merge(want, on=["repo", "path"], how="inner")
-        hit = hit[hit[OP_COL] != "delete"]
-        return hit.drop(
-            columns=[
-                c for c in (OP_COL, "pid", "key64", "epoch")
-                if c in hit.columns
-            ]
-        )
 
     if not files:
         return ray.data.from_arrow(_empty_state_table()), []
@@ -835,13 +507,31 @@ def lookup_state(
     # parquet read (decode skips non-matching rows; statistics can skip
     # whole row groups) — the probe's exact (repo, path) merge still
     # does the precise cut
-    import pyarrow.compute as pc
-
     repo_set = pa.array(sorted(set(keys["repo"])), pa.string())
     ds = ray.data.read_parquet(
         files, filter=pc.field("repo").isin(repo_set)
-    ).map_batches(probe, batch_format="pandas")
+    ).map_batches(_key_probe(keys), batch_format="pandas")
     return ds, files
+
+
+def _key_probe(keys: "pd.DataFrame"):
+    """The exact (repo, path) cut of a point lookup, shared by both
+    layouts: an inner merge against the requested key set (shipped
+    once via the object store; duplicate keys probe once), tombstones
+    and store-internal columns dropped."""
+    key_ref = ray.put(keys[["repo", "path"]].drop_duplicates())
+
+    def probe(df: "pd.DataFrame") -> "pd.DataFrame":
+        hit = df.merge(ray.get(key_ref), on=["repo", "path"], how="inner")
+        if OP_COL in hit.columns:
+            hit = hit[hit[OP_COL] != "delete"]
+        return hit.drop(
+            columns=[
+                c for c in (OP_COL, "pid", "key64", "epoch") if c in hit.columns
+            ]
+        )
+
+    return probe
 
 
 def _diff_pid(old_file: str | None, new_file: str) -> "pa.Table":
@@ -908,8 +598,6 @@ def epoch_diff(store, e_old: int, e_new: int) -> "ray.data.Dataset":
             "(state/delta.compact_state) or replay with "
             "state_layout='full'"
         )
-    from cosmwasm_etl_ray.compat import cached_remote
-
     new_parts = store.manifest(e_new)["partitions"]
     old_files = store.partition_files(e_old)
     touched = {
@@ -965,8 +653,6 @@ def quick_final_state(
     )
 
     def fold_and_finalize(g: "pa.Table") -> "pa.Table":
-        import pyarrow.compute as pc
-
         g = g.filter(g["valid"].combine_chunks()).drop_columns(["valid"])
         f = fold_lww_arrow(g)
         f = f.filter(pc.not_equal(f[OP_COL], pa.scalar("delete")))

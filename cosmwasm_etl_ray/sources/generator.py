@@ -58,12 +58,14 @@ def _chunk(
 
     op = np.where(rng.random(m) < cfg.delete_frac, "delete", "update").astype(object)
     if seen is not None:
-        # first global occurrence of a key is its insert. seen=None
-        # (the parallel soak generator) skips the relabel: insert and
-        # update are both upserts to the merge, so the final state —
-        # and every rng draw — is identical; only the op label on a
-        # key's first event differs. The serial path keeps exact
-        # labels for the op-distribution tests.
+        # first global occurrence of a key is its insert — even when
+        # its draw was a delete. seen=None (the parallel soak
+        # generator) skips the relabel, so every rng draw is the same
+        # but the two streams agree on final state only for keys whose
+        # first draw is an upsert (or that have a later event): a
+        # first-draw delete is an insert here and a no-op delete
+        # there. The serial path keeps exact labels for the
+        # op-distribution tests.
         uniq, first_idx = np.unique(key_ids, return_index=True)
         new_mask = ~seen[uniq]
         op[first_idx[new_mask]] = "insert"

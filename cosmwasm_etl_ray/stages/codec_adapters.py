@@ -120,8 +120,9 @@ class PillowImageDecoder:
     """Library-backed image decode stage (PNG/GIF/BMP/JPEG by magic
     byte) emitting the same (media_id, width, height, sum_px) layout
     as the builtin image stages. Init loads the library once per
-    actor; per-payload failures translate to ValueError so the
-    quarantine contract holds. NOTE for JPEG: a library IDCT may
+    actor; per-payload decode failures translate to ValueError so the
+    quarantine contract holds (MemoryError propagates). NOTE for
+    JPEG: a library IDCT may
     differ from the gate oracle by rounding on non-flat blocks — the
     gate corpora are block-constant by design (CLAUDE.md), where
     baseline JPEG is exact, so the oracle still applies."""
@@ -135,7 +136,9 @@ class PillowImageDecoder:
         try:
             with self.Image.open(io.BytesIO(raw)) as im:
                 return np.asarray(im.convert("RGB"))
-        except ValueError:
+        except (ValueError, MemoryError):
+            # MemoryError is the worker running out, not a bad payload:
+            # it must fail the task, never quarantine the row
             raise
         except Exception as e:
             raise ValueError(f"image decode failed: {e}") from e

@@ -16,9 +16,9 @@ Because the partial fold is associative and order-free (it compares the
 - the COMBINER: every map_batches batch is pre-folded before the
   hash-partition shuffle, so a hot key's millions of events collapse to
   one row per batch — skew dies before the all-to-all exchange;
-- the SALT MERGE: hot keys split across salted sub-partitions produce
-  partial rows that the final per-key reduce merges exactly (SURVEY.md
-  §7.4 "fold by max-commit is associative").
+- the CHAIN FOLD: the merge folds an epoch's partials onto the prior
+  state, and the delta layout folds a pid's chain of epoch deltas,
+  exactly (SURVEY.md §7.4 "fold by max-commit is associative").
 
 Tombstones are retained in persisted state (finalize only on export),
 so re-applying an epoch is idempotent — the exactly-once story does not
@@ -56,22 +56,6 @@ OP_COL = "op"
 META_COLS = KEY_COLS + [SEQ_COL, OP_COL, "pid"]
 
 
-def read_state_table(path: str) -> pa.Table:
-    """Read a partition state file, with an OPTIONAL simulated-remote-
-    storage throttle: GRAFT_STATE_READ_MBPS > 0 sleeps bytes/rate after
-    the read (pure test/bench harness — default off). The disk path
-    pays this once per partition per EPOCH (the cheap-restart re-read);
-    the actor tier pays it once per partition per RECOVERY — the
-    crossover tools/crossover_state_tier.py measures."""
-    t = pq.read_table(path)
-    mbps = float(os.environ.get("GRAFT_STATE_READ_MBPS", "0") or 0)
-    if mbps > 0:
-        import time
-
-        time.sleep(t.nbytes / (mbps * 1e6))
-    return t
-
-
 def fold_partial(df: pd.DataFrame) -> pd.DataFrame:
     """Whole-row LWW partial fold: max-commit row per key, deletes kept.
 
@@ -86,22 +70,11 @@ def fold_partial(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def fold_partial_flagged(df: pd.DataFrame) -> pd.DataFrame:
-    """Combiner for the single-pass pipeline: fold only ``valid`` rows,
-    pass quarantine rows through untouched (they must reach the merge
-    stage with their raw payload intact)."""
-    if "valid" not in df.columns:
-        return fold_partial(df)
-    mask = df["valid"].to_numpy()
-    if mask.all():
-        return fold_partial(df)
-    folded = fold_partial(df[mask])
-    return pd.concat([folded, df[~mask]], ignore_index=True)
-
-
 def fold_partial_arrow(t: pa.Table) -> pa.Table:
-    """Zero-copy-friendly combiner: same semantics as
-    fold_partial_flagged but implemented as an Arrow ``take`` — only
+    """Zero-copy-friendly combiner: fold only ``valid`` rows (max-commit
+    row per key, like fold_partial) and pass quarantine rows through
+    untouched — they must reach the merge stage with their raw payload
+    intact. Implemented as an Arrow ``take``: only
     the (key64, commit, valid) columns are touched; the wide content
     strings never convert to Python objects. Requires the ``key64``
     column from FlagAndPartition. Hash-collision note: two keys
@@ -224,12 +197,11 @@ def _to_arrow(df: pd.DataFrame) -> pa.Table:
 
 
 class MergeWithState:
-    """The per-partition merge stage — runs under
-    ``groupby("pid").map_groups`` (one task per partition group; the
-    prior state is re-read from its Parquet file once per epoch, which
-    is the deliberate cheap-restart design — the actor-resident
-    alternative that keeps state in process memory across epochs is
-    ``state.actor_state.ActorStateTier``).
+    """The per-partition merge stage — called once per (epoch, pid) by
+    the replay's chain link (pipelines/replay._merge_pid_chain), which
+    hands it the pid's state file as of the previous epoch; the prior
+    state is re-read from that Parquet file once per epoch, which is
+    the deliberate cheap-restart design.
 
     One call = one partition's folded change rows for this epoch, AS AN
     ARROW TABLE: the quarantine split, the prior-state concat (additive
@@ -247,7 +219,7 @@ class MergeWithState:
     process memory and mutates it serially
     (/root/reference/parser/dex/dezswap/app.go:42-68); here each
     partition's key set lives in its state file and is owned by
-    whichever worker processes that pid group — state is
+    whichever worker runs that pid's chain link — state is
     partition-local because keys route by pure hash.
     """
 
@@ -297,7 +269,7 @@ class MergeWithState:
         prior = self.prior_files.get(pid)
         if prior is not None:
             allrows = pa.concat_tables(
-                [read_state_table(prior), group], promote_options="permissive"
+                [pq.read_table(prior), group], promote_options="permissive"
             )
         else:
             allrows = group

@@ -24,9 +24,10 @@ layout is workload-dependent — full for small state / read-heavy,
 delta for large state / low touch density (the common CDC regime) —
 so it is a config, measured in BASELINE.md round 5.
 
-Supported with ``merge_exchange="direct"`` + ``state_tier="disk"``
-(the production replay path); other combinations raise at entry.
-``epoch_diff``/``_diff_pid`` time-travel diffs stay full-layout-only
+Written only by ``replay_files`` (whole-row LWW; Override mode and
+``apply_epoch`` refuse delta stores), and ``compact_state`` refuses
+full-layout stores. ``epoch_diff``/``_diff_pid`` time-travel diffs
+stay full-layout-only
 (documented); ``read_state``/``lookup_state``/``state-at-epoch`` are
 layout-aware via the helpers here.
 
@@ -163,6 +164,7 @@ def lookup_state_delta(
     import ray.data
 
     from cosmwasm_etl_ray.functions.hashing import assign_partition
+    from cosmwasm_etl_ray.pipelines.replay import _empty_state_table, _key_probe
 
     pids = np.unique(
         assign_partition(
@@ -175,24 +177,10 @@ def lookup_state_delta(
     touched = {int(p): chains[int(p)] for p in pids if int(p) in chains}
     files = [f for c in touched.values() for f in c]
     if not touched:
-        from cosmwasm_etl_ray.pipelines.replay import _empty_state_table
-
         return ray.data.from_arrow(_empty_state_table()), []
     refs = [_fold_chain_live.remote(c) for _, c in sorted(touched.items())]
     ds = ray.data.from_arrow_refs(refs)
-    want = set(zip(keys["repo"], keys["path"]))
-
-    def probe(df):
-        mask = [
-            (r, p) in want for r, p in zip(df["repo"], df["path"])
-        ]
-        hit = df[mask]
-        # match lookup_state's serving schema (it drops epoch too)
-        return hit.drop(
-            columns=[c for c in ("epoch",) if c in hit.columns]
-        )
-
-    return ds.map_batches(probe, batch_format="pandas"), files
+    return ds.map_batches(_key_probe(keys), batch_format="pandas"), files
 
 
 @ray.remote
@@ -222,6 +210,13 @@ def compact_state(store) -> dict | None:
     latest = store.latest_epoch()
     if latest is None:
         return None
+    if store_layout(store) != "delta":
+        raise ValueError(
+            "compact_state is delta-layout only: a full-layout store "
+            "already holds one state file per pid, and a base "
+            "generation committed over it would switch the store's "
+            "layout identity — replay with state_layout='delta'"
+        )
     chains = partition_chains(store)
     if not chains or all(len(c) == 1 for c in chains.values()):
         return None  # already one file per pid

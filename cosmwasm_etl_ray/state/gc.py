@@ -28,6 +28,8 @@ from cosmwasm_etl_ray.pipelines.replay import apply_epoch
 def gc_state(store, keep_manifests: int = 1) -> dict:
     """Delete state partition files not referenced by the newest
     ``keep_manifests`` manifests. Returns {kept, deleted} counts.
+    Delta-layout stores retain the latest chains only, so they accept
+    ``keep_manifests=1`` alone and raise otherwise.
 
     Files from epochs NEWER than the latest committed manifest belong to
     an in-flight (not-yet-committed) epoch — deleting them between
@@ -35,10 +37,18 @@ def gc_state(store, keep_manifests: int = 1) -> dict:
     manifest pointing at deleted files, so they are always kept."""
     from cosmwasm_etl_ray.state.delta import partition_chains, store_layout
 
+    delta = store_layout(store) == "delta"
+    if delta and keep_manifests != 1:
+        raise ValueError(
+            "gc_state on a delta-layout store keeps the latest chains "
+            f"only; keep_manifests={keep_manifests} would promise "
+            "time-travel reads of older epochs whose delta files this "
+            "sweep deletes — call with keep_manifests=1"
+        )
     epochs = store.committed_epochs()
     latest = epochs[-1] if epochs else -1
     referenced: set[str] = set()
-    if store_layout(store) == "delta":
+    if delta:
         # delta layout: EVERY file in every live chain is state — the
         # latest manifest's per-pid file is just the newest link.
         # Before compaction nothing is collectable; after

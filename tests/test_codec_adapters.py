@@ -99,6 +99,34 @@ def test_pillow_adapter_drops_in_when_available():
         assert row["sum_px"] == int(px.astype(np.int64).sum())
 
 
+def test_pillow_adapter_memoryerror_is_not_quarantined(monkeypatch):
+    """Decode errors map to ValueError (quarantine); MemoryError is the
+    worker running out, so it propagates instead. Runs on a stub
+    ``Image`` module, so it needs no Pillow."""
+    import types
+
+    from cosmwasm_etl_ray.stages import codec_adapters
+
+    raised = {}
+
+    def fake_open(_buf):
+        raise raised["exc"]
+
+    monkeypatch.setattr(
+        codec_adapters, "_pillow", lambda: types.SimpleNamespace(open=fake_open)
+    )
+    dec = codec_adapters.PillowImageDecoder()
+    t = pa.table(
+        {"media_id": pa.array([1], pa.int64()), "payload": pa.array([b"x"], pa.binary())}
+    )
+    raised["exc"] = MemoryError()
+    with pytest.raises(MemoryError):
+        dec(t)
+    raised["exc"] = OSError("cannot identify image file")
+    with pytest.raises(ValueError, match="image decode failed"):
+        dec(t)
+
+
 def test_pillow_adapter_init_raises_importerror_when_absent():
     """When the library is missing, the adapter fails at ACTOR SETUP
     (init), not per payload — a pool that can't construct surfaces

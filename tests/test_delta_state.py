@@ -22,12 +22,7 @@ from cosmwasm_etl_ray.state.delta import compact_state, partition_chains
 from cosmwasm_etl_ray.state.gc import gc_state
 from cosmwasm_etl_ray.state.manifest import StateStore
 
-FULL = EngineConfig(
-    num_partitions=8,
-    epoch_max_events=15_000,
-    batch_size=4096,
-    merge_exchange="direct",
-)
+FULL = EngineConfig(num_partitions=8, epoch_max_events=15_000, batch_size=4096)
 DELTA = dataclasses.replace(FULL, state_layout="delta")
 
 
@@ -96,12 +91,21 @@ def test_delta_state_as_of_epoch(stores):
 @pytest.mark.usefixtures("ray_session")
 def test_delta_lookup_prunes_to_probed_chains(stores):
     full, delta = stores
-    want = _final(full).head(7)[["repo", "path"]]
+    live = _final(full).head(7)[["repo", "path"]]
+    # one key requested twice, one key absent from the store
+    want = pd.concat(
+        [live, live.head(1),
+         pd.DataFrame({"repo": [live["repo"].iloc[0]], "path": ["no/such/path"]})],
+        ignore_index=True,
+    )
     got_full, _ = lookup_state(full, want, FULL.num_partitions)
     got_delta, files = lookup_state(delta, want, DELTA.num_partitions)
     a = got_full.to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
     b = got_delta.to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
+    # each live key exactly once, the absent key not at all
+    assert len(b) == len(live)
+    assert list(zip(b["repo"], b["path"])) == sorted(zip(live["repo"], live["path"]))
     # pruning: only the probed pids' chains were read
     all_files = [f for c in partition_chains(delta).values() for f in c]
     assert len(files) < len(all_files)
@@ -164,20 +168,69 @@ def test_delta_guard_rails(change_log, tmp_path, stores):
     _, delta = stores
     with pytest.raises(ValueError, match="full-layout only"):
         epoch_diff(delta, 0, 1)
-    for bad in (
-        dataclasses.replace(DELTA, merge_exchange="streaming"),
-        dataclasses.replace(DELTA, state_tier="actor"),
-        dataclasses.replace(DELTA, override_coalesce=True),
-    ):
-        with pytest.raises(ValueError):
-            replay_files(
-                change_log["files"], StateStore(str(tmp_path / "x")), bad
-            )
+    with pytest.raises(ValueError, match="whole-row LWW only"):
+        replay_files(
+            change_log["files"],
+            StateStore(str(tmp_path / "x")),
+            dataclasses.replace(DELTA, override_coalesce=True),
+        )
     # layout is store identity: a full replay over a delta store refuses
     store = StateStore(str(tmp_path / "mix"))
     replay_files(change_log["files"][:2], store, DELTA)
     with pytest.raises(ValueError, match="state_layout"):
         replay_files(change_log["files"], store, FULL)
+    # and so does apply_epoch (repair, quarantine replay, bootstrap)
+    import ray.data
+
+    from cosmwasm_etl_ray.pipelines.replay import apply_epoch
+
+    with pytest.raises(ValueError, match="state_layout"):
+        apply_epoch(
+            ray.data.read_parquet(change_log["files"][2:3]), store, 1, DELTA
+        )
+
+
+def _manifest_bytes(store) -> dict:
+    out = {}
+    for f in sorted(glob.glob(os.path.join(store.manifest_dir, "*.json"))):
+        with open(f, "rb") as fh:
+            out[f] = fh.read()
+    return out
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_compact_state_refuses_full_layout(change_log, tmp_path):
+    store = StateStore(str(tmp_path / "full"))
+    replay_files(change_log["files"][:3], store, FULL)
+    before = _manifest_bytes(store)
+    with pytest.raises(ValueError, match="delta-layout only"):
+        compact_state(store)
+    assert _manifest_bytes(store) == before
+    assert not os.path.exists(
+        os.path.join(store.state_dir, f"epoch={store.latest_epoch() + 1}")
+    )
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_gc_keep_manifests_refused_on_delta(change_log, tmp_path):
+    """Delta gc keeps only the latest chains, so a request to keep
+    older manifests readable raises before deleting anything; the full
+    layout still honours it."""
+    store = StateStore(str(tmp_path / "d"))
+    replay_files(change_log["files"][:4], store, DELTA)
+    compact_state(store)
+    files = sorted(glob.glob(os.path.join(store.state_dir, "**/*.parquet"),
+                             recursive=True))
+    with pytest.raises(ValueError, match="keep_manifests"):
+        gc_state(store, keep_manifests=2)
+    assert files == sorted(glob.glob(
+        os.path.join(store.state_dir, "**/*.parquet"), recursive=True))
+    assert gc_state(store)["deleted"] > 0  # the default still sweeps
+
+    full = StateStore(str(tmp_path / "f"))
+    replay_files(change_log["files"][:4], full, FULL)
+    gc_state(full, keep_manifests=2)
+    assert read_state(full, epoch=full.latest_epoch() - 1).count() > 0
 
 
 @pytest.mark.usefixtures("ray_session")

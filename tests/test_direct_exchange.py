@@ -1,10 +1,10 @@
-"""Direct (raw-task) merge exchange vs the streaming groupby path.
+"""The direct pid-chained exchange — the one apply path.
 
-cfg.merge_exchange="direct" replaces groupby("pid").map_groups with a
-spawn-free raw-task exchange and pid-level epoch chaining
-(replay._replay_files_direct). These tests pin the invariant that the
-two exchanges are observationally identical: same final state, same
-quarantine side output, same crash-resume reconvergence.
+``replay_files`` (file-shard prep) and ``apply_epoch`` (Dataset-block
+prep) both run prep tasks → one chained merge link per pid → the
+manifest commit. These tests check that path against the independent
+serial oracles: final state, quarantine side output, Override mode,
+crash-resume reconvergence, and byte-identity of the two entry points.
 """
 
 import glob
@@ -25,14 +25,8 @@ from cosmwasm_etl_ray.pipelines.replay import (
 from cosmwasm_etl_ray.sources.generator import generate_change_stream
 from cosmwasm_etl_ray.state.manifest import StateStore
 
-STREAM_CFG = EngineConfig(
-    num_partitions=8, epoch_max_events=15_000, batch_size=4096
-)
 DIRECT_CFG = EngineConfig(
-    num_partitions=8,
-    epoch_max_events=15_000,
-    batch_size=4096,
-    merge_exchange="direct",
+    num_partitions=8, epoch_max_events=15_000, batch_size=4096
 )
 
 
@@ -57,21 +51,29 @@ def _final(store) -> pd.DataFrame:
     )
 
 
-def test_direct_equals_streaming(change_log, tmp_path):
-    s_store = StateStore(str(tmp_path / "stream"))
-    replay_files(change_log["files"], s_store, STREAM_CFG)
-    d_store = StateStore(str(tmp_path / "direct"))
-    manifests = replay_files(change_log["files"], d_store, DIRECT_CFG)
+def _oracle(files) -> pd.DataFrame:
+    raw = pd.concat([pd.read_parquet(f) for f in files], ignore_index=True)
+    return (
+        serial_oracle_replay(raw)
+        .sort_values(["repo", "path"])
+        .reset_index(drop=True)
+    )
 
-    cols = ["repo", "path", "commit", "content"]
-    pd.testing.assert_frame_equal(_final(s_store)[cols], _final(d_store)[cols])
 
-    # manifest accounting identical too (counts drive the cursor/monitoring)
+def test_replay_quarantines_every_malformed_row(change_log, tmp_path):
+    """Manifest counts and the quarantine side output both account for
+    exactly the generator's malformed rows."""
+    store = StateStore(str(tmp_path / "store"))
+    manifests = replay_files(change_log["files"], store, DIRECT_CFG)
     assert sum(m["counts"]["quarantined"] for m in manifests) == change_log[
         "n_malformed"
     ]
+    assert sum(
+        m["counts"]["input_events"] - m["counts"]["applied_events"]
+        for m in manifests
+    ) == change_log["n_malformed"]
     q = glob.glob(
-        os.path.join(d_store.quarantine_dir, "**/*.parquet"), recursive=True
+        os.path.join(store.quarantine_dir, "**/*.parquet"), recursive=True
     )
     qrows = sum(len(pd.read_parquet(f)) for f in q)
     assert qrows == change_log["n_malformed"]
@@ -81,16 +83,10 @@ def test_direct_matches_serial_oracle(change_log, tmp_path):
     store = StateStore(str(tmp_path / "store"))
     replay_files(change_log["files"], store, DIRECT_CFG)
     engine = _final(store)
-    raw = pd.concat(
-        [pd.read_parquet(f) for f in change_log["files"]], ignore_index=True
-    )
-    oracle = (
-        serial_oracle_replay(raw)
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
-    cols = ["repo", "path", "commit", "content"]
-    pd.testing.assert_frame_equal(engine[cols], oracle[cols])
+    cols = ["repo", "path", "commit", "lang", "content"]
+    pd.testing.assert_frame_equal(engine[cols], _oracle(change_log["files"])[cols])
+    # the state keeps plain string columns end to end
+    assert all(dt == object for dt in engine[["repo", "lang"]].dtypes)
 
 
 def test_direct_crash_resume_reconverges(change_log, tmp_path):
@@ -128,58 +124,55 @@ def test_direct_crash_resume_reconverges(change_log, tmp_path):
 
 
 def test_apply_epoch_direct_single(change_log, tmp_path):
-    """apply_epoch (the tail loop's entry) honors merge_exchange=direct
-    via _direct_exchange_stats and matches the streaming manifest."""
-    s = StateStore(str(tmp_path / "s"))
-    d = StateStore(str(tmp_path / "d"))
+    """apply_epoch (repair, quarantine replay, bootstrap) runs one
+    epoch of a Dataset through the same chain: its state matches the
+    serial oracle and its count the quarantine side output."""
     files = change_log["files"][:2]
-    ms = apply_epoch(ray.data.read_parquet(files), s, 0, STREAM_CFG)
-    md = apply_epoch(ray.data.read_parquet(files), d, 0, DIRECT_CFG)
-    assert ms["counts"] == md["counts"]
+    store = StateStore(str(tmp_path / "s"))
+    m = apply_epoch(ray.data.read_parquet(files), store, 0, DIRECT_CFG)
+    q = glob.glob(os.path.join(store.quarantine_dir, "epoch=0", "*.parquet"))
+    assert sum(len(pd.read_parquet(f)) for f in q) == m["counts"]["quarantined"]
+    assert m["layout"] == "full" and m["num_partitions"] == 8
     cols = ["repo", "path", "commit", "content"]
-    pd.testing.assert_frame_equal(_final(s)[cols], _final(d)[cols])
+    pd.testing.assert_frame_equal(_final(store)[cols], _oracle(files)[cols])
+
+
+def test_apply_epoch_and_replay_files_write_identical_state(change_log, tmp_path):
+    """One epoch through apply_epoch and through replay_files, on two
+    fresh stores: byte-identical state files, equal manifest counts."""
+    files = change_log["files"][:2]
+    rows = sum(len(pd.read_parquet(f)) for f in files)
+    a = StateStore(str(tmp_path / "a"))
+    ma = apply_epoch(
+        ray.data.read_parquet(files), a, 0, DIRECT_CFG,
+        (files[0], files[-1]), input_rows=rows,
+    )
+    b = StateStore(str(tmp_path / "b"))
+    (mb,) = replay_files(files, b, DIRECT_CFG)
+    assert ma["counts"] == mb["counts"]
+    fa, fb = a.partition_files(0), b.partition_files(0)
+    assert sorted(fa) == sorted(fb) and fa
+    for pid in fa:
+        with open(fa[pid], "rb") as x, open(fb[pid], "rb") as y:
+            assert x.read() == y.read(), pid
 
 
 def test_direct_override_mode(tmp_path):
-    """Override coalesce (last-write full replace, no combine) under the
-    direct exchange equals the streaming result."""
-    log = generate_change_stream(
-        str(tmp_path / "log"),
-        GeneratorConfig(seed=7, n_keys=300, n_events=8_000,
-                        events_per_file=2_000, malformed_frac=0.0,
-                        evolve_at_frac=None),
-    )
-    base = dict(num_partitions=4, epoch_max_events=4_000, batch_size=2048,
-                override_coalesce=True)
-    s = StateStore(str(tmp_path / "s"))
-    replay_files(log["files"], s, EngineConfig(**base))
-    d = StateStore(str(tmp_path / "d"))
-    replay_files(log["files"], d, EngineConfig(**base, merge_exchange="direct"))
-    cols = ["repo", "path", "commit", "content"]
-    pd.testing.assert_frame_equal(_final(s)[cols], _final(d)[cols])
+    """Override coalesce (no combiner; column-wise last non-empty wins)
+    through apply_epoch, one epoch per log file, equals the serial
+    Override oracle (replay_files is checked against it in
+    test_override_mode)."""
+    from test_override_mode import CFG, _serial_override_oracle, _write_log
 
-
-def test_dict_encoded_exchange_equals_plain(change_log, tmp_path):
-    """cfg.exchange_dict_cols is a WIRE format only (VERDICT r4 #2
-    A/B): dictionary-encoding repo/lang through the direct exchange
-    must leave the final state — values AND dtypes (no Categorical
-    leaking into the on-disk schema) — bit-identical on both the disk
-    and actor state tiers."""
-    plain = StateStore(str(tmp_path / "plain"))
-    replay_files(change_log["files"], plain, DIRECT_CFG)
-    want = _final(plain)
-    assert all(dt == object for dt in want[["repo", "lang"]].dtypes)
-
-    import dataclasses
-
-    for tier in ("disk", "actor"):
-        cfg = dataclasses.replace(
-            DIRECT_CFG,
-            exchange_dict_cols=("repo", "lang"),
-            state_tier=tier,
-        )
-        store = StateStore(str(tmp_path / f"dict_{tier}"))
-        replay_files(change_log["files"], store, cfg)
-        got = _final(store)
-        assert all(dt == object for dt in got[["repo", "lang"]].dtypes)
-        pd.testing.assert_frame_equal(got, want)
+    df, files = _write_log(tmp_path, rng_seed=47, n_events=10_000)
+    store = StateStore(str(tmp_path / "store"))
+    for e, f in enumerate(files):
+        apply_epoch(ray.data.read_parquet([f]), store, e, CFG, (f, f))
+    got = read_state(store).to_pandas()
+    oracle = _serial_override_oracle(df)
+    assert len(got) == len(oracle)
+    for r in got.itertuples():
+        o = oracle[(r.repo, r.path)]
+        assert r.commit == o["commit"], (r.repo, r.path)
+        assert (r.lang if isinstance(r.lang, str) else None) == o["lang"]
+        assert (r.content if isinstance(r.content, str) else None) == o["content"]

@@ -61,10 +61,17 @@ def test_train_sample_empty_returns_typed_frame(ray_session):
     assert "vec_id" in out.columns  # not the column-less to_pandas frame
 
 
-def test_detect_hot_keys_empty_changes(ray_session):
-    from cosmwasm_etl_ray.stages.skew import detect_hot_keys
+def test_apply_epoch_empty_changes(ray_session, tmp_path):
+    """An empty epoch through the apply chain commits a manifest that
+    touches nothing."""
+    from cosmwasm_etl_ray.config import EngineConfig
+    from cosmwasm_etl_ray.pipelines.replay import apply_epoch
+    from cosmwasm_etl_ray.state.manifest import StateStore
 
-    assert detect_hot_keys(_empty_changes(), threshold=5) == set()
+    store = StateStore(str(tmp_path / "store"))
+    m = apply_epoch(_empty_changes(), store, 0, EngineConfig(num_partitions=4))
+    assert m["counts"]["touched_partitions"] == 0
+    assert m["partitions"] == {} and store.latest_epoch() == 0
 
 
 def test_dedup_family_empty(ray_session):

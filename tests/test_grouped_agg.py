@@ -112,10 +112,14 @@ def test_grouped_agg_driver_mode_enforces_cardinality_bound():
         grouped_agg(ds, ["k"], {"sum_x": ("x", "sum")}, driver_limit=1000)
 
 
-def test_shard_exchange_matches_dataset_shape(ray_session):
-    """sharded_map_groups and grouped_agg(final='shuffle') must emit the
-    same row sets through the direct raw-task exchange and the groupby
-    Dataset shape."""
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    cols = sorted(df.columns)
+    return df[cols].sort_values(cols, kind="stable").reset_index(drop=True)
+
+
+def test_shard_exchange_matches_pandas(ray_session):
+    """sharded_map_groups and grouped_agg(final='shuffle') through the
+    raw-task shard exchange equal the same computation in pandas."""
     import numpy as np
     from cosmwasm_etl_ray.functions.agg import grouped_agg, sharded_map_groups
 
@@ -133,22 +137,20 @@ def test_shard_exchange_matches_dataset_shape(ray_session):
         g["rt"] = g.groupby("k", sort=False)["v"].cumsum()
         return g
 
-    for run in (
-        lambda ex: sharded_map_groups(ds, ["k"], per_shard, shards=8, exchange=ex),
-        lambda ex: grouped_agg(
-            ds, ["k"], {"s": ("v", "sum"), "m": ("v", "mean")},
-            final="shuffle", shards=8, exchange=ex,
-        ),
-    ):
-        a = run("direct").to_pandas()
-        b = run("dataset").to_pandas()
-        cols = sorted(a.columns)
-        a = a[cols].sort_values(cols, kind="stable").reset_index(drop=True)
-        b = b[cols].sort_values(cols, kind="stable").reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
+    got = sharded_map_groups(ds, ["k"], per_shard, shards=8).to_pandas()
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(per_shard(df.copy())))
+
+    got = grouped_agg(
+        ds, ["k"], {"s": ("v", "sum"), "m": ("v", "mean")},
+        final="shuffle", shards=8,
+    ).to_pandas()
+    want = df.groupby("k", as_index=False).agg(s=("v", "sum"), m=("v", "mean"))
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
 
 
 def test_stats_with_distinct_exchange_equal(ray_session):
+    """stats_with_distinct through the raw-task shard exchange equals a
+    pandas groupby with nunique on the same inputs."""
     import numpy as np
     from cosmwasm_etl_ray.functions.agg import stats_with_distinct
 
@@ -160,15 +162,12 @@ def test_stats_with_distinct_exchange_equal(ray_session):
             "u": rng.integers(0, 30, 3000),
         }
     )
-    ds = ray.data.from_pandas(df)
-    outs = {}
-    for ex in ("direct", "dataset"):
-        o = stats_with_distinct(
-            ds, ["w"], {"sv": ("v", "sum")}, "u", "nu", shards=8, exchange=ex
-        ).to_pandas()
-        cols = sorted(o.columns)
-        outs[ex] = o[cols].sort_values(cols, kind="stable").reset_index(drop=True)
-    pd.testing.assert_frame_equal(outs["direct"], outs["dataset"])
+    got = stats_with_distinct(
+        ray.data.from_pandas(df), ["w"], {"sv": ("v", "sum")}, "u", "nu",
+        shards=8,
+    ).to_pandas()
+    want = df.groupby("w", as_index=False).agg(sv=("v", "sum"), nu=("u", "nunique"))
+    pd.testing.assert_frame_equal(_sorted(got), _sorted(want))
 
 
 # -------------------------------------------------------- grouped top-k

@@ -58,10 +58,9 @@ def test_left_join_empty_right_bucket_pads_columns(ray_session):
     assert out["w"].isna().all()  # right side absent → padded, rows kept
 
 
-def test_hash_join_direct_matches_dataset(ray_session):
+def test_hash_join_matches_pandas_merge(ray_session):
     """Inner and left joins (incl. empty-right buckets, name collisions,
-    folds) must be identical between the direct raw-task exchange and
-    the tagged-union Dataset shape."""
+    folds) equal a plain pandas merge of the two frames."""
     import numpy as np
 
     rng = np.random.default_rng(3)
@@ -80,8 +79,12 @@ def test_hash_join_direct_matches_dataset(ray_session):
         }
     )
 
-    def run(how, exchange, right_fold=None):
-        out = hash_join(
+    def norm(df):
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
+
+    def run(how, right_fold=None):
+        return norm(hash_join(
             ray.data.from_pandas(left.copy()),
             ray.data.from_pandas(right.copy()),
             on="k",
@@ -90,25 +93,19 @@ def test_hash_join_direct_matches_dataset(ray_session):
             right_fold=right_fold,
             left_cols={"k": "int64", "v": "int64", "x": "object"},
             right_cols={"k": "int64", "w": "int64", "x": "object"},
-            exchange=exchange,
-        ).to_pandas()
-        return (
-            out.sort_values(out.columns.tolist(), kind="stable")
-            .reset_index(drop=True)
-        )
+        ).to_pandas())
 
     for how in ("inner", "left"):
-        a = run(how, "direct")
-        b = run(how, "dataset")
-        assert sorted(a.columns) == sorted(b.columns)
-        pd.testing.assert_frame_equal(a[sorted(a.columns)], b[sorted(b.columns)])
+        want = left.merge(right, on="k", how=how, suffixes=("_l", "_r"))
+        if how == "left":
+            want["w"] = want["w"].astype("Int64")  # nullable int pad
+        pd.testing.assert_frame_equal(run(how), norm(want))
 
     fold = lambda df: df.groupby("k", as_index=False).agg(
         w=("w", "max"), x=("x", "min")
     )
-    a = run("inner", "direct", right_fold=fold)
-    b = run("inner", "dataset", right_fold=fold)
-    pd.testing.assert_frame_equal(a[sorted(a.columns)], b[sorted(b.columns)])
+    want = left.merge(fold(right), on="k", how="inner", suffixes=("_l", "_r"))
+    pd.testing.assert_frame_equal(run("inner", right_fold=fold), norm(want))
 
 
 def test_left_join_pad_is_typed_not_nan(ray_session):
@@ -124,16 +121,14 @@ def test_left_join_pad_is_typed_not_nan(ray_session):
     right = ray.data.from_pandas(
         pd.DataFrame({"k": np.array([3], dtype=np.int64), "w": ["hit"]})
     )
-    for exchange in ("direct", "dataset"):
-        out = hash_join(
-            left, right, on="k", num_buckets=8, how="left",
-            left_cols={"k": "int64", "v": "object"},
-            right_cols={"k": "int64", "w": "object"},
-            exchange=exchange,
-        ).to_pandas()
-        assert len(out) == 64
-        assert out["w"].dtype == object, (exchange, out["w"].dtype)
-        assert out.loc[out["k"] == 3, "w"].iloc[0] == "hit"
+    out = hash_join(
+        left, right, on="k", num_buckets=8, how="left",
+        left_cols={"k": "int64", "v": "object"},
+        right_cols={"k": "int64", "w": "object"},
+    ).to_pandas()
+    assert len(out) == 64
+    assert out["w"].dtype == object, out["w"].dtype
+    assert out.loc[out["k"] == 3, "w"].iloc[0] == "hit"
 
 
 def _blocks(ds):
@@ -168,20 +163,18 @@ def test_left_join_int_pad_one_schema_across_buckets(ray_session):
         pd.DataFrame({"k": np.arange(0, 64, 2, dtype=np.int64),
                       "n_hit": np.arange(32, dtype=np.int64)})
     )
-    for exchange in ("direct", "dataset"):
-        ds = hash_join(
-            left, right, on="k", num_buckets=8, how="left",
-            left_cols={"k": "int64", "v": "int64"},
-            right_cols={"k": "int64", "n_hit": "int64"},
-            exchange=exchange,
-        )
-        types = {str(t.schema.field("n_hit").type) for t in _blocks(ds)}
-        out = ds.to_pandas()
-        assert len(out) == 64
-        # every BLOCK carries int64-with-nulls, never double
-        assert types <= {"int64"}, (exchange, types)
-        got = out.set_index("k")["n_hit"]
-        assert int(got.loc[4]) == 2 and pd.isna(got.loc[5])
+    ds = hash_join(
+        left, right, on="k", num_buckets=8, how="left",
+        left_cols={"k": "int64", "v": "int64"},
+        right_cols={"k": "int64", "n_hit": "int64"},
+    )
+    types = {str(t.schema.field("n_hit").type) for t in _blocks(ds)}
+    out = ds.to_pandas()
+    assert len(out) == 64
+    # every BLOCK carries int64-with-nulls, never double
+    assert types <= {"int64"}, types
+    got = out.set_index("k")["n_hit"]
+    assert int(got.loc[4]) == 2 and pd.isna(got.loc[5])
 
 
 def test_shard_allnull_string_column_stays_string(ray_session):

@@ -165,30 +165,60 @@ def test_price_task_crash_resume(replayed):
     pd.testing.assert_frame_equal(resumed.view(), full)
 
 
-def test_price_direct_matches_dataset(replayed, tmp_path):
-    """The raw-task direct exchange and the Dataset (hash_join +
-    sharded_map_groups) shape must produce identical per-event output,
-    carries, and routes for every epoch."""
+def _price_oracle(files, base: str) -> pd.DataFrame:
+    """Serial pandas rel_size: per key the length after each valid
+    event (0 for a delete), per repo the running sum of length deltas
+    in commit order, divided by the base repo's running sum as of the
+    same commit (rows before the base curve or at a dry base drop)."""
+    ev = pd.concat([pd.read_parquet(f) for f in files], ignore_index=True)
+    ok = (
+        ev["commit"].fillna("").str.fullmatch(r"[0-9]+")
+        & ev["op"].isin(["insert", "update", "delete"])
+        & ev["repo"].notna() & ev["path"].notna()
+    )
+    ev = ev[ok].sort_values("commit", kind="stable").reset_index(drop=True)
+    new_len = np.where(ev["op"] == "delete", 0, ev["content"].fillna("").str.len())
+    ev["new_len"] = new_len.astype("int64")
+    prev = ev.groupby(["repo", "path"])["new_len"].shift(1).fillna(0)
+    ev["repo_chars"] = (
+        (ev["new_len"] - prev).groupby(ev["repo"]).cumsum().astype("int64")
+    )
+    curve = ev[ev["repo"] == base]
+    commits = curve["commit"].to_numpy().astype("U")
+    chars = curve["repo_chars"].to_numpy()
+    idx = np.searchsorted(commits, ev["commit"].to_numpy().astype("U"), "right") - 1
+    b = np.where(idx >= 0, chars[np.maximum(idx, 0)], 0)
+    out = ev.loc[b > 0, ["repo", "commit", "repo_chars"]].copy()
+    out["rel_size"] = out["repo_chars"].to_numpy() / b[b > 0]
+    return out
+
+
+def test_price_task_matches_pandas_oracle(replayed, tmp_path):
+    """Per-event rel_size of the incremental task equals the serial
+    pandas oracle over the raw log, and its latest route table equals
+    the routes of the final state's repo–lang edges."""
+    from cosmwasm_etl_ray.pipelines.replay import serial_oracle_replay
+
     log, store = replayed
-    outs = {}
-    for mode in ("direct", "dataset"):
-        cfg = EngineConfig(
-            num_partitions=8, epoch_max_events=15_000, batch_size=4096,
-            price_exchange=mode,
-        )
-        s2 = StateStore(str(store.root))
-        task = PriceTask.__new__(PriceTask)
-        task.store, task.cfg, task.base = s2, cfg, BASE
-        task.root = str(tmp_path / f"price_{mode}")
-        os.makedirs(task.root, exist_ok=True)
-        task.run()
-        outs[mode] = (
-            task.view().sort_values(["commit", "repo"], kind="stable")
-            .reset_index(drop=True),
-            task.latest_routes(),
-        )
-    pd.testing.assert_frame_equal(outs["direct"][0], outs["dataset"][0])
-    pd.testing.assert_frame_equal(outs["direct"][1], outs["dataset"][1])
+    task = PriceTask.__new__(PriceTask)
+    task.store, task.cfg, task.base = store, CFG, BASE
+    task.root = str(tmp_path / "price")
+    os.makedirs(task.root, exist_ok=True)
+    task.run()
+
+    def norm(df):
+        return df.sort_values(["commit", "repo"], kind="stable").reset_index(drop=True)
+
+    want = norm(_price_oracle(log["files"], BASE))
+    got = norm(task.view())[list(want.columns)]
+    pd.testing.assert_frame_equal(got, want)
+
+    raw = pd.concat([pd.read_parquet(f) for f in log["files"]], ignore_index=True)
+    final = serial_oracle_replay(raw)
+    edges = final.groupby(["repo", "lang"], as_index=False).size()
+    pd.testing.assert_frame_equal(
+        task.latest_routes(), shortest_routes(edges, base=BASE)
+    )
 
 
 def test_valid_events_matches_replay_predicate():

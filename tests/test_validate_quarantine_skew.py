@@ -1,4 +1,4 @@
-"""Validation comparator, quarantine replay, explicit salting path."""
+"""Validation comparator and quarantine replay."""
 
 import numpy as np
 import pandas as pd
@@ -13,8 +13,6 @@ from cosmwasm_etl_ray.pipelines.replay import (
 )
 from cosmwasm_etl_ray.sources.changes import changes_from_documents
 from cosmwasm_etl_ray.sources.generator import generate_change_stream
-from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
-from cosmwasm_etl_ray.stages.skew import detect_hot_keys, salted_final_state
 from cosmwasm_etl_ray.stages.validate import snapshot_state, validate_store
 from cosmwasm_etl_ray.state.manifest import StateStore
 from cosmwasm_etl_ray.state.quarantine import pending_files, replay_quarantine
@@ -89,43 +87,6 @@ def test_quarantine_replay_applies_fixed_rows(tmp_path):
     assert after >= before  # repaired upserts landed
     # idempotent: nothing pending → no-op
     assert replay_quarantine(store, CFG) is None
-
-
-def test_salted_path_equals_combiner_path(sf_dir):
-    """The explicit detect+salt two-phase reduce must produce the exact
-    same final state as the default combiner path."""
-    cfg = EngineConfig(num_partitions=8, hot_key_threshold=40, salt_factor=4)
-    changes = changes_from_documents(sf_dir)
-    flagged = changes.map_batches(
-        FlagAndPartition(cfg.num_partitions), batch_format="pyarrow"
-    )
-    hot = detect_hot_keys(changes, cfg.hot_key_threshold)
-    assert len(hot) > 0  # the documents stream plants hot keys (d%101==0)
-
-    salted = (
-        salted_final_state(flagged, cfg, hot_keys=hot)
-        .to_pandas()
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
-    combiner = (
-        quick_final_state(changes, cfg)
-        .to_pandas()
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
-    cols = ["repo", "path", "commit", "lang", "content"]
-    pd.testing.assert_frame_equal(salted[cols], combiner[cols])
-
-
-def test_detect_hot_keys_empty_when_nothing_exceeds(sf_dir):
-    """Threshold above every per-key count → empty set, not a KeyError.
-
-    Regression: an all-empty pandas filter result loses its columns
-    through Ray's pandas block path; the filter must stay Arrow-level."""
-    changes = changes_from_documents(sf_dir)
-    hot = detect_hot_keys(changes, threshold=10_000_000)
-    assert hot == set()
 
 
 def test_versioned_normalizer_dispatch_by_commit_range():

@@ -32,7 +32,7 @@ from cosmwasm_etl_ray.pipelines.replay import replay_files
 from cosmwasm_etl_ray.state.manifest import StateStore
 files = json.loads(os.environ["PB_FILES"])
 cfg = EngineConfig(num_partitions=64, epoch_max_events=int(os.environ["PB_EPOCH"]),
-                   batch_size=262144, merge_exchange="direct")
+                   batch_size=262144)
 # warmup pass primes the page cache in an uncounted store
 import shutil
 for tag in ("warm", "run"):

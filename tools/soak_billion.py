@@ -170,9 +170,7 @@ def main() -> None:
         # the call into two epochs and garble per-epoch accounting)
         epoch_max_events=chunks_per_epoch * CHUNK_EVENTS,
         batch_size=262_144,
-        merge_exchange="direct",
         state_layout=args.layout,
-        actor_state_shards=min(64, max(8, args.cpus // 2)),
     )
 
     # sentinel LWW fold state (driver-side, ~10k keys)
