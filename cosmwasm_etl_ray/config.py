@@ -55,16 +55,17 @@ class EngineConfig:
     # (behaviorally identical to stages.rules.default_cdc_rules()).
     rules: object | None = None
 
-    # State checkpoint layout. "full" (default): copy-on-write — each
-    # epoch rewrites every dirty partition's whole state; reads are
-    # one file per pid. "delta": each epoch APPENDS one folded delta
-    # file per touched pid (write volume = touched keys, not total
-    # state — the 1B soak's diagnosed limiter, SOAK_1B.json); reads
-    # fold the per-pid chain (fold_lww_arrow is associative, so the
-    # result is bit-identical), state/delta.compact_state folds
-    # chains into a base periodically. The layout is store identity —
-    # resume refuses a mismatch, and apply_epoch (repair, quarantine
-    # replay, bootstrap) writes full-layout stores only.
+    # State checkpoint WRITE policy. "full" (default): copy-on-write —
+    # each epoch rewrites every dirty partition's whole state, so every
+    # pid's chain is one file. "delta": each epoch APPENDS one folded
+    # delta file per touched pid (write volume = touched keys, not
+    # total state — the 1B soak's diagnosed limiter, SOAK_1B.json),
+    # and state/delta.compact_state folds chains into a base. Reads
+    # never depend on it: every reader folds per-pid chains
+    # (state/delta.map_chains; fold_lww_arrow is associative, so the
+    # result is bit-identical). The layout is store identity — resume,
+    # repair, quarantine replay and bootstrap (apply_epoch) refuse a
+    # mismatch with the store's committed layout.
     state_layout: str = "full"
 
 

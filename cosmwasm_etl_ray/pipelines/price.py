@@ -184,32 +184,35 @@ def repo_lang_graph(state: "ray.data.Dataset") -> tuple[pd.DataFrame, pd.DataFra
     return edges, sizes
 
 
+def _lang_counts(pid: int, t: pa.Table) -> pa.Table:
+    """One pid's live (repo, lang, n) counts — partials summed by
+    repo_lang_edges (a (repo, lang) pair spans pids)."""
+    t = t.filter(pc.invert(pc.equal(t["op"], pa.scalar("delete"))))
+    n = t.group_by(["repo", "lang"]).aggregate([([], "count_all")])
+    return n.select(["repo", "lang", "count_all"]).rename_columns(["repo", "lang", "n"])
+
+
 def repo_lang_edges(store, epoch: int) -> pd.DataFrame:
     """Edge set ONLY (repo, lang, n_files) via a CONTENT-FREE pruned
-    read of the state partitions. The per-epoch ST4 change check needs
-    just the edge key — paying for the wide content column every epoch
-    (as repo_lang_graph's sizes side does) made the 'rebuild only on
-    growth' guard more expensive than what it guards."""
-    files = list(store.partition_files(epoch).values())
-    if not files:
-        return pd.DataFrame(columns=["repo", "lang", "n_files"])
-    ds = ray.data.read_parquet(files, columns=["repo", "lang", "op"])
+    read of the state chains as of ``epoch``. The per-epoch ST4 change
+    check needs just the edge key — paying for the wide content column
+    every epoch (as repo_lang_graph's sizes side does) made the
+    'rebuild only on growth' guard more expensive than what it guards.
+    Each reader task returns its pids' partial counts (token
+    cardinality); the driver sums them."""
+    from cosmwasm_etl_ray.state.delta import map_chains, partition_chains
 
-    def prep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.invert(pc.equal(t["op"], pa.scalar("delete"))))
-        return pa.table(
-            {
-                "repo": t["repo"],
-                "lang": t["lang"],
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-
-    return grouped_agg(
-        ds.map_batches(prep, batch_format="pyarrow"),
-        keys=["repo", "lang"],
-        spec={"n_files": ("one", "count")},
+    chains = partition_chains(store, epoch)
+    refs = map_chains(
+        {p: (c,) for p, c in chains.items()}, _lang_counts, columns=["repo", "lang", "op"]
     )
+    if not refs:
+        return pd.DataFrame(columns=["repo", "lang", "n_files"])
+    parts = pa.concat_tables(ray.get([r for _, r in refs]))
+    edges = parts.group_by(["repo", "lang"]).aggregate([("n", "sum")])
+    return edges.select(["repo", "lang", "n_sum"]).rename_columns(
+        ["repo", "lang", "n_files"]
+    ).to_pandas()
 
 
 def shortest_routes(

@@ -6,9 +6,10 @@ executor ramp + hash-shuffle for ~4M skinny rows).
 
 The structural win over the Dataset shape: the prior epoch's state is
 ALREADY partitioned by ``stable_hash64(repo, path) % P`` (the replay's
-partition files), so the state side of the J6 state ⋈ events join
+partition chains), so the state side of the J6 state ⋈ events join
 needs NO shuffle at all — prep tasks split the epoch's events by the
-same pid, and join task p reads state partition file p directly.
+same pid, and join task p takes pid p's prior lengths from the state
+reader (state/delta.map_chains) directly.
 
 Per epoch (driver stays serial across epochs — the carry is the only
 cross-epoch state, token-cardinality, file-backed):
@@ -16,7 +17,9 @@ cross-epoch state, token-cardinality, file-backed):
   prep (per source shard)   read row-group run → valid filter → event
                             lengths (content column dropped INSIDE the
                             task) → split by pid, num_returns=P
-  join (per pid p)          concat p's splits + read state file p →
+  prior (≤ 2×NCPU tasks)    the state reader folds each pid's chain
+                            as of epoch-1 → (pid, repo, path, length)
+  join (per pid p)          concat p's splits + p's prior lengths →
                             per-(repo,path) previous length (in-epoch
                             shift, else state, else 0) → delta rows →
                             split by repo-shard, num_returns=S
@@ -80,11 +83,35 @@ def _price_prep_shard(path: str, row_groups: list[int], P: int):
     return _split_table_by_shard(t, pid, P)
 
 
-def _price_join_pid(S: int, state_file: str | None, *event_splits):
-    """Join task for one pid: state partition file read LOCALLY (no
-    state shuffle — the replay already partitioned it by the join
-    key), previous-length resolution, delta rows split by repo shard."""
+def _prior_lengths(pid: int, t: pa.Table) -> pa.Table:
+    """One pid's folded prior state as (pid, repo, path, state_len) —
+    the state side of the join, computed inside the state reader."""
     from cosmwasm_etl_ray.pipelines.price import _state_lengths
+
+    st = _state_lengths(t)
+    return st.append_column("pid", pa.array(np.full(st.num_rows, pid, np.int32)))
+
+
+def _prior_refs(store, epoch: int, pids: list[int]) -> dict:
+    """pid → ref of the reader table holding that pid's prior lengths
+    (state as of epoch-1), for the pids with events this epoch."""
+    from cosmwasm_etl_ray.state.delta import map_chains, partition_chains
+
+    chains = partition_chains(store, epoch - 1) if epoch > 0 else {}
+    refs = map_chains(
+        {p: (chains[p],) for p in pids if p in chains},
+        _prior_lengths,
+        columns=["repo", "path", "content", "op"],
+    )
+    return {p: ref for group, ref in refs for p in group}
+
+
+def _price_join_pid(S: int, pid: int, state: pa.Table | None, *event_splits):
+    """Join task for one pid: ``state`` is the reader task's table
+    holding this pid's prior lengths (no state shuffle — the replay
+    already partitioned state by the join key), previous-length
+    resolution, delta rows split by repo shard."""
+    import pyarrow.compute as pc
 
     tabs = [t for t in event_splits if t is not None]
     if not tabs:
@@ -92,10 +119,8 @@ def _price_join_pid(S: int, state_file: str | None, *event_splits):
         # contract every other splitter honors
         return None if S == 1 else tuple([None] * S)
     ev = pa.concat_tables(tabs).to_pandas()
-    if state_file is not None:
-        st = _state_lengths(
-            pq.read_table(state_file, columns=["repo", "path", "content", "op"])
-        ).to_pandas()
+    if state is not None:
+        st = state.filter(pc.equal(state["pid"], pid)).drop_columns(["pid"]).to_pandas()
         ev = ev.merge(st, on=["repo", "path"], how="left")
     else:
         ev["state_len"] = 0
@@ -216,8 +241,8 @@ def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
 
     S = PRICE_REPO_SHARDS
     P = task.cfg.num_partitions
-    # the per-pid join reads state partition file p DIRECTLY, which is
-    # only correct when events split by the SAME modulus the store was
+    # the per-pid join reads state partition p's chain DIRECTLY, which
+    # is only correct when events split by the SAME modulus the store was
     # built with — refuse a mismatch exactly like the replay does
     committed_p = manifest.get("num_partitions")
     if committed_p is not None and committed_p != P:
@@ -255,12 +280,12 @@ def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
         for p, r in enumerate(refs):
             per_pid[p].append(r)
 
-    prior = task.store.partition_files(epoch - 1) if epoch > 0 else {}
+    prior = _prior_refs(task.store, epoch, [p for p in range(P) if per_pid[p]])
     per_shard_refs: list[list] = [[] for _ in range(S)]
     for p in range(P):
         if not per_pid[p]:
             continue
-        refs = join.remote(S, prior.get(p), *per_pid[p])
+        refs = join.remote(S, p, prior.get(p), *per_pid[p])
         if S == 1:
             refs = [refs]
         for s, r in enumerate(refs):

@@ -699,6 +699,7 @@ WHERE c."commit" > '{_SNAPSHOT_COMMIT}'
 
 
 _DELTA_STORE_CACHE: dict[str, object] = {}
+_DELTA_GATE_MAX_EVENTS = 2_000_000
 
 
 def _delta_store(sf_dir: str):
@@ -720,6 +721,14 @@ def _delta_store(sf_dir: str):
 
     if sf_dir in _DELTA_STORE_CACHE:
         return _DELTA_STORE_CACHE[sf_dir]
+    # gate-scale only: the whole change stream is sorted on the driver
+    # (≤ 50 events per document, the CHANGES_CTE expansion bound)
+    n_docs = _pq.read_metadata(_os.path.join(sf_dir, "documents.parquet")).num_rows
+    if n_docs * 50 > _DELTA_GATE_MAX_EVENTS:
+        raise ValueError(
+            f"_delta_store would sort up to {n_docs * 50} change rows on the "
+            f"driver; it is a gate fixture for ≤ {_DELTA_GATE_MAX_EVENTS} events"
+        )
     root = _tmp_store_root("cdc_delta_store_")
     df = (
         changes_from_documents(sf_dir)

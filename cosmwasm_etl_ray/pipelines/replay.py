@@ -26,6 +26,13 @@ Raw Ray tasks, not a Dataset groupby: the hash-shuffle operator spawns
 an aggregator pool per execution (a measured fixed cost per epoch,
 BASELINE.md), and the routing here needs no repartition decision —
 ``pid`` is assigned upstream and P is fixed by the store.
+
+The layout (``cfg.state_layout``) decides only the write policy
+(``_committed_prior``): a full-layout link folds onto the pid's prior
+state file, a delta link folds its own rows into an appended file.
+Reads — ``read_state``, ``lookup_state``, ``epoch_diff`` — never
+branch on it: each folds per-pid chains through the one state reader
+(state/delta.map_chains), where a full-layout chain has length 1.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from cosmwasm_etl_ray.stages.merge import (
     fold_partial_arrow,
 )
 from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
+from cosmwasm_etl_ray.state.delta import partition_chains, read_chains
 
 
 def _prep_split(t: "pa.Table", num_partitions: int, ruleset, combine: bool):
@@ -117,7 +125,7 @@ def _plan_shards(files: list[str], target_rows: int) -> list[tuple[str, list[int
     return shards
 
 
-def _check_partition_compat(store, P: int, layout: str = "full") -> None:
+def _check_partition_compat(store, P: int, layout: str) -> None:
     """num_partitions is part of the store's identity: pid = hash(key) % P
     routes keys to state files, so replaying with a different P would
     silently send a key's new events to a different partition than its
@@ -139,6 +147,25 @@ def _check_partition_compat(store, P: int, layout: str = "full") -> None:
                 f"store was built with state_layout={committed_layout!r}; "
                 f"config asks for {layout!r} — refusing to mix"
             )
+
+
+def _committed_prior(store, cfg: EngineConfig) -> dict[int, str] | None:
+    """The write policy — the one layout choice left on the write path,
+    shared by replay_files and apply_epoch: after the identity check,
+    pid → committed state file for the full layout (each link folds
+    onto it and rewrites the pid's whole state), or None for the
+    delta layout (each link folds only its own rows into an appended
+    file; the read side folds the chain)."""
+    _check_partition_compat(store, cfg.num_partitions, cfg.state_layout)
+    if cfg.state_layout != "delta":
+        return store.partition_files()
+    if cfg.override_coalesce:
+        raise ValueError(
+            "state_layout='delta' is whole-row LWW only: Override "
+            "column-coalesce folds are not associative across "
+            "epochs, so delta chains cannot reproduce them"
+        )
+    return None
 
 
 def _launch_prep_tasks(
@@ -315,17 +342,17 @@ def apply_epoch(
     manifest commit (which also writes the quarantine side output per
     partition). Idempotent: re-running a committed epoch is a no-op;
     re-running an uncommitted (crashed) epoch overwrites the same
-    partition files. Full-layout stores only — a delta store refuses
-    (its links would need the chain-aware write path)."""
+    partition files. Writes the layout ``cfg.state_layout`` names,
+    under the same write policy as replay_files (_committed_prior)."""
     if store.is_committed(epoch):
         return store.manifest(epoch)
 
     P = cfg.num_partitions
-    _check_partition_compat(store, P)
+    prior = _committed_prior(store, cfg)
     ncpu = int(ray.cluster_resources().get("CPU", 32))
     per_pid = _launch_prep_blocks(changes, P, cfg, ncpu)
-    wave = _launch_chain(store, epoch, per_pid, cfg, store.partition_files(), {})
-    return _commit_wave(store, epoch, offset_range, input_rows, wave, P, "full")
+    wave = _launch_chain(store, epoch, per_pid, cfg, prior or {}, {})
+    return _commit_wave(store, epoch, offset_range, input_rows, wave, P, cfg.state_layout)
 
 
 def pending_files(files: list[str], store) -> tuple[list[str], int]:
@@ -370,12 +397,6 @@ def replay_files(
     epochs = plan_epochs(todo, cfg)
     if not epochs:
         return []
-    if cfg.state_layout == "delta" and cfg.override_coalesce:
-        raise ValueError(
-            "state_layout='delta' is whole-row LWW only: Override "
-            "column-coalesce folds are not associative across "
-            "epochs, so delta chains cannot reproduce them"
-        )
     return _replay_files_direct(epochs, start, store, cfg)
 
 
@@ -399,14 +420,12 @@ def _replay_files_direct(
     commits (blocks on) the oldest wave first."""
     MAX_WAVES = 2
     P = cfg.num_partitions
-    delta = cfg.state_layout == "delta"
-    _check_partition_compat(store, P, layout=cfg.state_layout)
-
+    # the delta layout reads no prior state and chains nothing (merges
+    # across epochs are independent tasks — the read side folds the
+    # chain)
+    committed_prior = _committed_prior(store, cfg)
+    delta = committed_prior is None
     ruleset_ref = ray.put(cfg.rules) if cfg.rules is not None else None
-    # pid -> newest committed state file; the delta layout reads no
-    # prior state and chains nothing (merges across epochs are
-    # independent tasks — the read side folds the chain)
-    committed_prior = {} if delta else store.partition_files()
     prev_refs: dict[int, object] = {}
     pending: list[tuple] = []
     out: list[dict] = []
@@ -419,7 +438,7 @@ def _replay_files_direct(
         ncpu = int(ray.cluster_resources().get("CPU", 32))
         rows, per_pid = _launch_prep_tasks(batch, P, cfg, ruleset_ref, ncpu)
         wave = _launch_chain(
-            store, e, per_pid, cfg, committed_prior, {} if delta else prev_refs
+            store, e, per_pid, cfg, committed_prior or {}, {} if delta else prev_refs
         )
         pending.append((e, (batch[0], batch[-1]), rows, wave))
         while len(pending) >= MAX_WAVES:
@@ -446,51 +465,43 @@ def _empty_state_table() -> "pa.Table":
     )
 
 
+def _live_rows(pid: int, t: "pa.Table", drop=(OP_COL, "pid", "key64")) -> "pa.Table":
+    """The serving view of one folded chain: tombstones and
+    store-internal columns dropped, Arrow-native (the wide content
+    strings never convert to pandas just for a tombstone filter)."""
+    t = t.filter(pc.not_equal(t[OP_COL], pa.scalar("delete")))
+    return t.drop_columns([c for c in drop if c in t.column_names])
+
+
 def read_state(store, epoch: int | None = None) -> "ray.data.Dataset":
-    """The live current-state table (tombstones dropped) as a Dataset.
-    Layout-aware: a delta-layout store folds per-pid chains instead of
-    reading single partition files (state/delta.py)."""
-    from cosmwasm_etl_ray.state.delta import read_state_delta, store_layout
+    """The live current-state table (tombstones dropped) as a Dataset:
+    every pid's chain as of ``epoch`` (default latest) folded by the
+    one state reader (state/delta.map_chains)."""
+    chains = partition_chains(store, epoch)
+    return read_chains(
+        {p: (c,) for p, c in chains.items()}, _live_rows, empty=_empty_state_table()
+    )
 
-    if store_layout(store) == "delta":
-        return read_state_delta(store, epoch)
-    files = list(store.partition_files(epoch).values())
-    if not files:
-        # empty store (nothing committed yet): a typed empty Dataset —
-        # read_parquet([]) raises, and callers index these columns
-        return ray.data.from_arrow(_empty_state_table())
-    ds = ray.data.read_parquet(files)
 
-    def live_rows(t: "pa.Table") -> "pa.Table":
-        # Arrow-native (zero-copy from the object store): the wide
-        # content strings never convert to pandas just for a tombstone
-        # filter — this is a serving path over the whole state
-        t = t.filter(pc.not_equal(t[OP_COL], pa.scalar("delete")))
-        return t.drop_columns(
-            [c for c in (OP_COL, "pid", "key64") if c in t.column_names]
-        )
-
-    return ds.map_batches(live_rows, batch_format="pyarrow")
+def _probe_keys(pid: int, t: "pa.Table", keys: "pa.Table") -> "pa.Table":
+    """The exact (repo, path) cut of a point lookup: a semi join
+    against the requested key set (a key requested twice still hits
+    once), tombstones and store-internal columns dropped."""
+    t = t.join(keys, keys=["repo", "path"], join_type="left semi")
+    return _live_rows(pid, t, (OP_COL, "pid", "key64", "epoch"))
 
 
 def lookup_state(
     store, keys: "pd.DataFrame", num_partitions: int
 ) -> tuple["ray.data.Dataset", list[str]]:
-    """Point lookups on the merge store: read ONLY the partition files
-    the requested (repo, path) keys hash to — the serving path of the
-    state store. |files read| = |distinct pids of the key set|, not the
-    partition count, so a handful of keys touches a handful of files
-    whatever the store's width (the same path-pruning discipline as the
-    persistent IVF probe). Tombstoned keys simply miss. Returns the
-    (live-rows) Dataset and the pruned file list (tests assert on it).
-    Layout-aware: delta stores fold only the probed pids' chains.
-    """
-    from cosmwasm_etl_ray.state.delta import lookup_state_delta, store_layout
-
-    if store_layout(store) == "delta":
-        return lookup_state_delta(store, keys, num_partitions)
+    """Point lookups on the merge store — its serving path: fold ONLY
+    the chains of the pids the (repo, path) keys hash to, so a handful
+    of keys reads a handful of chains whatever the store's width. The
+    repo membership test is pushed into the parquet read (statistics
+    can skip row groups); the exact key probe runs in the reader task.
+    Tombstoned keys simply miss. Returns the live-rows Dataset and
+    every chain file read."""
     from cosmwasm_etl_ray.functions.hashing import assign_partition
-
     pids = np.unique(
         assign_partition(
             keys["repo"].to_numpy(dtype=object),
@@ -498,130 +509,68 @@ def lookup_state(
             num_partitions,
         )
     )
-    pfiles = store.partition_files()
-    files = [pfiles[int(p)] for p in pids if int(p) in pfiles]
-
-    if not files:
-        return ray.data.from_arrow(_empty_state_table()), []
-    # scan-level pushdown: the repo membership test runs inside the
-    # parquet read (decode skips non-matching rows; statistics can skip
-    # whole row groups) — the probe's exact (repo, path) merge still
-    # does the precise cut
-    repo_set = pa.array(sorted(set(keys["repo"])), pa.string())
-    ds = ray.data.read_parquet(
-        files, filter=pc.field("repo").isin(repo_set)
-    ).map_batches(_key_probe(keys), batch_format="pandas")
+    chains = partition_chains(store)
+    items = {int(p): (chains[int(p)],) for p in pids if int(p) in chains}
+    files = [f for (c,) in items.values() for f in c]
+    want = keys[["repo", "path"]].drop_duplicates()
+    key_tab = pa.table(
+        {c: pa.array(want[c].astype(str).tolist(), pa.string()) for c in ("repo", "path")}
+    )
+    ds = read_chains(
+        items,
+        _probe_keys,
+        key_tab,
+        filters=pc.field("repo").isin(pc.unique(key_tab["repo"])),
+        empty=_empty_state_table(),
+    )
     return ds, files
 
 
-def _key_probe(keys: "pd.DataFrame"):
-    """The exact (repo, path) cut of a point lookup, shared by both
-    layouts: an inner merge against the requested key set (shipped
-    once via the object store; duplicate keys probe once), tombstones
-    and store-internal columns dropped."""
-    key_ref = ray.put(keys[["repo", "path"]].drop_duplicates())
-
-    def probe(df: "pd.DataFrame") -> "pd.DataFrame":
-        hit = df.merge(ray.get(key_ref), on=["repo", "path"], how="inner")
-        if OP_COL in hit.columns:
-            hit = hit[hit[OP_COL] != "delete"]
-        return hit.drop(
-            columns=[
-                c for c in (OP_COL, "pid", "key64", "epoch") if c in hit.columns
-            ]
-        )
-
-    return probe
+_DIFF_SCHEMA = pa.schema(
+    [("repo", pa.string()), ("path", pa.string()),
+     ("kind", pa.string()), ("commit", pa.string())]
+)
 
 
-def _diff_pid(old_file: str | None, new_file: str) -> "pa.Table":
-    """Diff one partition between two committed epochs: live rows only
-    (tombstones are state-internal), classified insert/update/delete by
-    a full-outer key merge. Commits strictly increase per key, so an
-    update always changes the commit — (key, commit) equality means
-    unchanged."""
-    cols = ["repo", "path", "commit", OP_COL]
-    new = pq.read_table(new_file, columns=cols).to_pandas()
-    new = new[new[OP_COL] != "delete"][["repo", "path", "commit"]]
-    if old_file is None:
-        old = new.iloc[0:0]
-    else:
-        old = pq.read_table(old_file, columns=cols).to_pandas()
-        old = old[old[OP_COL] != "delete"][["repo", "path", "commit"]]
-    m = old.merge(
-        new, on=["repo", "path"], how="outer",
-        suffixes=("_old", "_new"), indicator=True,
-    )
-    kind = pd.Series("update", index=m.index, dtype="object")
-    kind[m["_merge"] == "right_only"] = "insert"
-    kind[m["_merge"] == "left_only"] = "delete"
-    changed = (m["_merge"] != "both") | (m["commit_old"] != m["commit_new"])
-    m = m[changed]
-    out = pd.DataFrame(
-        {
-            "repo": m["repo"],
-            "path": m["path"],
-            "kind": kind[changed],
-            "commit": m["commit_new"].where(
-                m["_merge"] != "left_only", m["commit_old"]
-            ),
-        }
-    )
-    # explicit schema: a touched partition whose LIVE view is unchanged
-    # (e.g. tombstone rewritten) yields zero changed rows, and a bare
-    # from_pandas would infer all-null columns — the mixed-schema union
-    # hazard at exchange boundaries
-    schema = pa.schema(
-        [("repo", pa.string()), ("path", pa.string()),
-         ("kind", pa.string()), ("commit", pa.string())]
-    )
-    return pa.Table.from_pandas(
-        out.reset_index(drop=True), schema=schema, preserve_index=False
-    )
+def _diff_live(pid: int, old: "pa.Table | None", new: "pa.Table") -> "pa.Table":
+    """Diff one pid's folded state between two committed epochs: live
+    rows only (tombstones are state-internal), classified
+    insert/update/delete by a full-outer key join. Commits strictly
+    increase per key, so an update always changes the commit —
+    (key, commit) equality means unchanged. Typed output even when
+    nothing changed (e.g. a compaction base): the mixed-schema hazard."""
+
+    def live(t: "pa.Table") -> "pa.Table":
+        t = t.filter(pc.not_equal(t[OP_COL], pa.scalar("delete")))
+        return t.select(["repo", "path", "commit"])
+
+    new = live(new)
+    old = new.slice(0, 0) if old is None else live(old)
+    m = old.join(new, ["repo", "path"], join_type="full outer",
+                 left_suffix="_old", right_suffix="_new")
+    m = m.filter(pc.invert(pc.fill_null(pc.equal(m["commit_old"], m["commit_new"]), False)))
+    o, n = m["commit_old"], m["commit_new"]
+    kind = pc.if_else(pc.is_null(o), pa.scalar("insert"), pc.if_else(
+        pc.is_null(n), pa.scalar("delete"), pa.scalar("update")))
+    return pa.table([m["repo"], m["path"], kind, pc.coalesce(n, o)], schema=_DIFF_SCHEMA)
 
 
 def epoch_diff(store, e_old: int, e_new: int) -> "ray.data.Dataset":
     """The change feed BETWEEN two committed epochs, read delta-bounded:
-    manifest lineage says which partitions epoch (e_old, e_new] touched,
-    and ONLY those pids' old+new files are read — IO follows the delta,
-    not the store width (the CDC-out analogue of the reference's
-    synced-height incremental consumers). One raw task per touched pid;
-    rows classify insert/update/delete by full-outer key merge.
-    Full-layout only: delta chains carry no per-epoch full partition
-    files to diff (compact first, or replay with state_layout='full')."""
-    from cosmwasm_etl_ray.state.delta import store_layout as _sl
-
-    if _sl(store) == "delta":
-        raise ValueError(
-            "epoch_diff is full-layout only: delta chains have no "
-            "per-epoch full partition files to diff — compact first "
-            "(state/delta.compact_state) or replay with "
-            "state_layout='full'"
-        )
-    new_parts = store.manifest(e_new)["partitions"]
-    old_files = store.partition_files(e_old)
-    touched = {
-        int(pid): info["file"]
-        for pid, info in new_parts.items()
-        if e_old < info["epoch"] <= e_new
-    }
-    if not touched:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "repo": pa.array([], pa.string()),
-                    "path": pa.array([], pa.string()),
-                    "kind": pa.array([], pa.string()),
-                    "commit": pa.array([], pa.string()),
-                }
-            )
-        )
-    task = cached_remote("epoch_diff_pid", _diff_pid)
-    refs = [
-        task.remote(old_files.get(pid), f)
-        for pid, f in sorted(touched.items())
-    ]
-    return ray.data.from_arrow_refs(refs)
+    manifest lineage says which pids epoch (e_old, e_new] touched, and
+    ONLY those pids are read — fold(chain@e_old) against
+    fold(chain@e_new), on any layout — so IO follows the delta, not
+    the store width (the CDC-out analogue of the reference's
+    synced-height incremental consumers). Rows classify
+    insert/update/delete by a full-outer key merge."""
+    new = partition_chains(store, e_new, touched_after=e_old)
+    old = partition_chains(store, e_old) if new else {}
+    return read_chains(
+        {p: (old.get(p, []), c) for p, c in new.items()},
+        _diff_live,
+        columns=["repo", "path", "commit", OP_COL],
+        empty=_DIFF_SCHEMA.empty_table(),
+    )
 
 
 def quick_final_state(

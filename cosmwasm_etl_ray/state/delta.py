@@ -1,239 +1,219 @@
-"""Delta state layout: per-epoch APPEND instead of copy-on-write.
+"""State chains and the one state reader.
 
-The 1B-event soak (SOAK_1B.json) diagnosed the full layout's scale
-limiter: every epoch rewrites every dirty partition's ENTIRE state
-(replay_sec ~= apply + ~2-3 s per GB of state), so at high key counts
-the checkpoint rewrite — not the apply — bounds throughput, and the
-write volume per epoch is O(total state) even when the epoch touched
-1% of keys.
+Every read of committed state goes through ``map_chains``: one item
+per pid (its chain, or an (old, new) chain pair for a diff), grouped
+into at most min(#items, 2×NCPU) raw Ray tasks (the replay's
+prep-shard cap); each task folds its pids' chains with ``fold_chain``,
+applies the caller's per-pid function and returns one Arrow table, and
+blocks are padded to one schema with typed nulls.
 
-``state_layout="delta"`` makes the checkpoint write O(TOUCHED keys):
-the merge folds only the epoch's own rows and appends one delta file
-per (epoch, pid); reads fold the per-pid chain [base?, delta, delta,
-...] with the SAME fold_lww_arrow (prior-first concat order, so the
-tie-break matches the full layout bit-for-bit — LWW is associative,
-which is the whole reason this layout is sound). Periodic
-``compact_state`` folds chains into a new base generation (committed
-as a synthetic manifest epoch with offset_range "compact", which the
-resume cursor walk skips), after which chain-aware gc_state sweeps
-the covered deltas. This is the same append+compact discipline the
-transfer-parser store proves out, applied to the CDC merge store.
+A pid's chain is the ordered file list [base?, delta, ...] recorded in
+ONE manifest. ``state_layout="full"`` (copy-on-write) rewrites each
+touched pid's whole state, so an entry is its own chain and full
+manifests carry no ``chain`` field. ``state_layout="delta"`` APPENDS
+one folded delta file per touched pid and records the link's
+``chain`` — the write is O(touched keys), not O(total state), the 1B
+soak's diagnosed limiter (SOAK_1B.json). ``compact_state`` folds every
+chain into a base generation, committed as a synthetic epoch
+(offset_range "compact", skipped by the resume cursor walk); a base
+entry carries no chain, so it resets the chain, and gc_state then
+sweeps the covered deltas.
 
-Trade: reads pay a fold over the chain until compaction. The right
-layout is workload-dependent — full for small state / read-heavy,
-delta for large state / low touch density (the common CDC regime) —
-so it is a config, measured in BASELINE.md round 5.
-
-Written only by ``replay_files`` (whole-row LWW; Override mode and
-``apply_epoch`` refuse delta stores), and ``compact_state`` refuses
-full-layout stores. ``epoch_diff``/``_diff_pid`` time-travel diffs
-stay full-layout-only
-(documented); ``read_state``/``lookup_state``/``state-at-epoch`` are
-layout-aware via the helpers here.
-
-Reference analogue: the Postgres sink gets deltas for free from heap
-append + vacuum (/root/reference/parser/dex/repo/repository.go:63-122);
-a Parquet lake must choose the layout explicitly.
+How rows were written never changes how they are read: the fold is
+fold_lww_arrow in epoch order (prior-first, so the tie-break matches
+the full layout bit-for-bit — LWW is associative, which is why the
+delta layout is sound). The only layout-specific code left is the
+write policy (replay._committed_prior) and the resume identity check.
+Reference analogue: one repository layer serves every reader (the
+reference parser's parser/dex/repo/repository.go:63-122).
 """
 
 from __future__ import annotations
 
 import os
+import re
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
 
+from cosmwasm_etl_ray.compat import cached_remote
+from cosmwasm_etl_ray.state.manifest import entry_chain
 from cosmwasm_etl_ray.stages.merge import (
     OP_COL,
     STATE_CODEC,
     fold_lww_arrow,
 )
 
-
-def store_layout(store) -> str:
-    """The store's committed layout ("full" | "delta"), from the
-    latest manifest; an empty store has no layout yet."""
-    latest = store.latest_epoch()
-    if latest is None:
-        return "full"
-    return store.manifest(latest).get("layout") or "full"
+_EPOCH_DIR_RE = re.compile(r"epoch=(\d+)")  # a state file's epoch dir
 
 
-def partition_chains(store, epoch: int | None = None) -> dict[int, list[str]]:
-    """pid -> ordered file chain as of ``epoch`` (default latest).
-    Walk committed manifests in epoch order; a manifest contributes a
-    pid's file iff it TOUCHED that pid (info["epoch"] == manifest
-    epoch — carried-forward entries are skipped); a base entry
-    (compaction output, info["base"]) RESETS the pid's chain."""
-    epochs = store.committed_epochs()
-    if epoch is not None:
-        epochs = [e for e in epochs if e <= epoch]
-    chains: dict[int, list[str]] = {}
-    for e in epochs:
-        for pid_s, info in store.manifest(e)["partitions"].items():
-            if info.get("epoch") != e:
-                continue  # carried forward, already in the chain
-            pid = int(pid_s)
-            if info.get("base"):
-                chains[pid] = [info["file"]]
-            else:
-                chains.setdefault(pid, []).append(info["file"])
-    return chains
+def partition_chains(
+    store, epoch: int | None = None, touched_after: int | None = None
+) -> dict[int, list[str]]:
+    """pid -> ordered file chain as of ``epoch`` (default latest), from
+    that ONE manifest. ``touched_after`` keeps only the pids an epoch
+    in (touched_after, epoch] rewrote or appended to."""
+    if epoch is None:
+        epoch = store.latest_epoch()
+    if epoch is None:
+        return {}
+    return {
+        int(pid): entry_chain(info)
+        for pid, info in store.manifest(epoch)["partitions"].items()
+        if touched_after is None or info["epoch"] > touched_after
+    }
 
 
-_EPOCH_DIR_RE = None
+def fold_chain(
+    files: list[str], columns: list[str] | None = None, filters=None
+) -> pa.Table | None:
+    """Fold one pid's chain (None for an empty chain): concat in epoch
+    order (earlier files first — fold_lww_arrow breaks equal-commit
+    ties by input position, so later epochs win exactly like the full
+    layout's prior-first concat) and LWW-fold. Tombstones KEPT (state
+    semantics). ``filters`` must test key columns only (a key's rows
+    then pass in every link or in none, so the fold is unchanged);
+    ``columns`` prunes the read (the fold's key columns ride along on
+    chains longer than one).
 
-
-def _file_epoch(path: str) -> int:
-    import re
-
-    global _EPOCH_DIR_RE
-    if _EPOCH_DIR_RE is None:
-        _EPOCH_DIR_RE = re.compile(r"epoch=(\d+)")
-    m = _EPOCH_DIR_RE.search(path)
-    return int(m.group(1)) if m else -1
-
-
-def fold_chain(files: list[str]) -> pa.Table:
-    """Fold one pid's chain: concat in epoch order (earlier files
-    first — fold_lww_arrow breaks equal-commit ties by input position,
-    so later epochs win exactly like the full layout's prior-first
-    concat) and LWW-fold. Tombstones KEPT (state semantics).
-
-    Each row carries an ``epoch`` column (the chain file it survived
-    from) for schema parity with the full layout's hive-partition
-    column — with sharper semantics: full mode stamps a row with the
-    epoch that last rewrote its PARTITION, delta with the epoch that
-    last wrote the ROW. The column is a layout artifact either way
-    (lookup_state drops it; no gate query reads it)."""
+    A full read stamps each row with an ``epoch`` column (the chain
+    file it survived from, string-typed like Ray's hive-partition
+    inference): full mode stamps the epoch that last rewrote the
+    PARTITION, delta the epoch that last wrote the ROW. The column is a
+    layout artifact either way (lookup_state drops it; no gate query
+    reads it)."""
+    if not files:
+        return None
+    if columns is not None and len(files) > 1:
+        columns = list(dict.fromkeys([*columns, "repo", "path", "commit"]))
     tables = []
     for f in files:
-        t = pq.read_table(f)
-        if "epoch" not in t.column_names:
-            # string-typed to match Ray's hive-partition inference on
-            # the full layout (epoch=N dirs surface as string values)
+        t = pq.read_table(f, columns=columns, filters=filters)
+        if columns is None and "epoch" not in t.column_names:
             t = t.append_column(
-                "epoch",
-                pa.array([str(_file_epoch(f))] * t.num_rows, pa.string()),
+                "epoch", pa.array([_EPOCH_DIR_RE.search(f)[1]] * t.num_rows, pa.string())
             )
         tables.append(t)
     if len(tables) == 1:
         return tables[0]
-    return fold_lww_arrow(
-        pa.concat_tables(tables, promote_options="permissive")
+    return fold_lww_arrow(pa.concat_tables(tables, promote_options="permissive"))
+
+
+def _read_group(fn, columns, filters, group, *args):
+    """One reader task: fold each (pid, chains) item, apply ``fn``,
+    concat. Returns (table, schema) so the driver can align schemas
+    without fetching the table."""
+    outs = [
+        fn(pid, *[fold_chain(c, columns, filters) for c in chains], *args)
+        for pid, chains in group
+    ]
+    t = outs[0] if len(outs) == 1 else pa.concat_tables(outs, promote_options="permissive")
+    return t, t.schema
+
+
+def _conform(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """Pad/reorder one block to the shared schema: typed nulls for a
+    missing column (the mixed-schema union hazard, CLAUDE.md)."""
+    return pa.Table.from_arrays(
+        [
+            t[f.name].cast(f.type) if f.name in t.column_names
+            else pa.nulls(t.num_rows, f.type)
+            for f in schema
+        ],
+        schema=schema,
     )
 
 
-@ray.remote
-def _fold_chain_live(files: list[str]) -> pa.Table:
-    """Raw fold task for read_state: folded chain with tombstones and
-    store-internal columns dropped (the serving view)."""
-    import pyarrow.compute as pc
+def map_chains(
+    items: dict[int, tuple[list[str], ...]],
+    fn,
+    *args,
+    columns: list[str] | None = None,
+    filters=None,
+) -> list[tuple[list[int], "ray.ObjectRef"]]:
+    """THE state reader. ``items`` maps pid -> a tuple of chains (one
+    chain to read, (old, new) to diff); ``fn(pid, *folded, *args)``
+    runs inside the task on each pid's folded tables (None for an
+    empty chain) and returns an Arrow table. Pids are grouped in pid
+    order into at most min(#items, 2×NCPU) raw tasks — the cap
+    ``_launch_prep_tasks`` puts on prep shards; one task per pid
+    measured slower than a Dataset scan (BASELINE.md, "Read path
+    unified"). Returns (pids, table ref) per task, every table in one
+    schema."""
+    if not items:
+        return []
+    ncpu = int(ray.cluster_resources().get("CPU", 32))
+    pids = sorted(items)
+    task = cached_remote("state_read_group", _read_group, num_returns=2)
+    groups = [
+        [int(p) for p in g]
+        for g in np.array_split(np.array(pids), min(len(pids), 2 * ncpu))
+    ]
+    outs = [
+        task.remote(fn, columns, filters, [(p, items[p]) for p in g], *args)
+        for g in groups
+    ]
+    schemas = ray.get([s for _, s in outs])
+    target = pa.unify_schemas(schemas, promote_options="permissive")
+    conform = cached_remote("state_read_conform", _conform)
+    return [
+        (g, t if s == target else conform.remote(t, target))
+        for g, (t, _), s in zip(groups, outs, schemas)
+    ]
 
-    t = fold_chain(files)
-    t = t.filter(pc.not_equal(t[OP_COL], pa.scalar("delete")))
-    return t.drop_columns(
-        [c for c in (OP_COL, "pid", "key64") if c in t.column_names]
-    )
 
-
-def read_state_delta(store, epoch: int | None = None) -> "ray.data.Dataset":
-    """Delta-layout twin of read_state: one fold task per pid chain,
-    streamed into a Dataset (chains read in parallel; nothing funnels
-    through the driver)."""
+def read_chains(items, fn, *args, empty: pa.Table, **kw) -> "ray.data.Dataset":
+    """``map_chains`` as a Dataset (``empty`` when no pid is read)."""
     import ray.data
 
-    chains = partition_chains(store, epoch)
-    if not chains:
-        from cosmwasm_etl_ray.pipelines.replay import _empty_state_table
-
-        return ray.data.from_arrow(_empty_state_table())
-    refs = [_fold_chain_live.remote(c) for _, c in sorted(chains.items())]
-    return ray.data.from_arrow_refs(refs)
+    refs = [r for _, r in map_chains(items, fn, *args, **kw)]
+    return ray.data.from_arrow_refs(refs) if refs else ray.data.from_arrow(empty)
 
 
-def lookup_state_delta(
-    store, keys, num_partitions: int
-) -> tuple["ray.data.Dataset", list[str]]:
-    """Delta-layout twin of lookup_state: prune to the pids the keys
-    hash to, fold ONLY those chains, filter to the requested keys.
-    Returns (live rows Dataset, list of files read)."""
-    import numpy as np
-    import ray.data
-
-    from cosmwasm_etl_ray.functions.hashing import assign_partition
-    from cosmwasm_etl_ray.pipelines.replay import _empty_state_table, _key_probe
-
-    pids = np.unique(
-        assign_partition(
-            keys["repo"].to_numpy(dtype=object),
-            keys["path"].to_numpy(dtype=object),
-            num_partitions,
-        )
-    )
-    chains = partition_chains(store)
-    touched = {int(p): chains[int(p)] for p in pids if int(p) in chains}
-    files = [f for c in touched.values() for f in c]
-    if not touched:
-        return ray.data.from_arrow(_empty_state_table()), []
-    refs = [_fold_chain_live.remote(c) for _, c in sorted(touched.items())]
-    ds = ray.data.from_arrow_refs(refs)
-    return ds.map_batches(_key_probe(keys), batch_format="pandas"), files
-
-
-@ray.remote
-def _compact_pid(files: list[str], out: str) -> dict:
-    """Fold one chain into a base file (tmp+rename; task retries
-    overwrite idempotently)."""
-    import pyarrow.compute as pc
-
-    t = fold_chain(files)
+def _write_base(pid: int, t: pa.Table, out_dir: str) -> pa.Table:
+    """Write one folded chain as a base file (tmp+rename; task retries
+    overwrite idempotently); returns its manifest stats row."""
+    out = os.path.join(out_dir, f"part-{pid:05d}.parquet")
     tmp = f"{out}.tmp.{os.getpid()}"
     pq.write_table(t, tmp, **STATE_CODEC)
     os.replace(tmp, out)
-    live = int(
-        pc.sum(pc.not_equal(t[OP_COL], pa.scalar("delete"))).as_py() or 0
+    live = int(pc.sum(pc.not_equal(t[OP_COL], pa.scalar("delete"))).as_py() or 0)
+    return pa.table(
+        {
+            "pid": pa.array([pid], pa.int64()),
+            "rows": pa.array([t.num_rows], pa.int64()),
+            "live_rows": pa.array([live], pa.int64()),
+            "file": pa.array([out], pa.string()),
+        }
     )
-    return {"rows": t.num_rows, "live_rows": live, "file": out}
 
 
 def compact_state(store) -> dict | None:
     """Fold every pid chain into a base generation, committed as a
     synthetic manifest epoch (offset_range "compact" — the resume
     cursor walk skips it, so replay continues from the last FILE
-    cursor exactly as before). After this commits, chain-aware
-    gc_state can sweep the covered delta files. Single-compactor
-    discipline (the replay driver owns the store); returns the
-    manifest, or None on an empty store."""
-    latest = store.latest_epoch()
-    if latest is None:
-        return None
-    if store_layout(store) != "delta":
-        raise ValueError(
-            "compact_state is delta-layout only: a full-layout store "
-            "already holds one state file per pid, and a base "
-            "generation committed over it would switch the store's "
-            "layout identity — replay with state_layout='delta'"
-        )
+    cursor exactly as before). After this commits, gc_state can sweep
+    the covered delta files. Single-compactor discipline (the replay
+    driver owns the store); returns the manifest, or None when every
+    chain already has length 1 (always so on a full-layout store)."""
     chains = partition_chains(store)
-    if not chains or all(len(c) == 1 for c in chains.values()):
-        return None  # already one file per pid
+    if all(len(c) == 1 for c in chains.values()):
+        return None
+    latest = store.latest_epoch()
     e = latest + 1
     out_dir = os.path.join(store.state_dir, f"epoch={e}")
     os.makedirs(out_dir, exist_ok=True)
-    refs = {
-        pid: _compact_pid.remote(
-            chain, os.path.join(out_dir, f"part-{pid:05d}.parquet")
-        )
-        for pid, chain in sorted(chains.items())
+    refs = map_chains({p: (c,) for p, c in chains.items()}, _write_base, out_dir)
+    stats = pa.concat_tables(ray.get([r for _, r in refs])).to_pylist()
+    touched = {
+        s["pid"]: {"file": s["file"], "rows": s["rows"],
+                   "live_rows": s["live_rows"], "base": True}
+        for s in stats
     }
-    touched = {}
-    total_rows = 0
-    for pid, r in zip(refs, ray.get(list(refs.values()))):
-        touched[pid] = {**r, "base": True}
-        total_rows += r["rows"]
     return store.commit_epoch(
         e,
         touched,
@@ -243,8 +223,6 @@ def compact_state(store) -> dict | None:
             "applied_events": 0,
             "quarantined": 0,
             "touched_partitions": len(touched),
-            "compacted_rows": total_rows,
+            "compacted_rows": sum(s["rows"] for s in stats),
         },
-        num_partitions=store.manifest(latest).get("num_partitions"),
-        layout="delta",
     )

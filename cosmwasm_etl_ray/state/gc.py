@@ -1,11 +1,12 @@
 """State GC + checkpoint bootstrap.
 
 - ``gc_state``: lineage-aware garbage collection. Copy-on-write leaves
-  superseded partition files in older ``epoch=`` directories; GC keeps
-  every file referenced by the last ``keep_manifests`` manifests and
-  deletes the rest. Manifests themselves are kept (tiny, they ARE the
-  lineage). The graft of the aggregator's truncate lever being safe to
-  run anytime (D4).
+  superseded partition files in older ``epoch=`` directories, and
+  compaction leaves covered delta links; GC keeps every file in a
+  chain of the last ``keep_manifests`` manifests and deletes the rest.
+  Manifests themselves are kept (tiny, they ARE the lineage). The
+  graft of the aggregator's truncate lever being safe to run anytime
+  (D4).
 - ``bootstrap_store``: seed epoch 0 of a fresh store from an existing
   current-state table — the checkpoint-builder analogue
   (/root/reference/parser/checkpoint/builder.go:28-49): start replay
@@ -26,39 +27,25 @@ from cosmwasm_etl_ray.pipelines.replay import apply_epoch
 
 
 def gc_state(store, keep_manifests: int = 1) -> dict:
-    """Delete state partition files not referenced by the newest
-    ``keep_manifests`` manifests. Returns {kept, deleted} counts.
-    Delta-layout stores retain the latest chains only, so they accept
-    ``keep_manifests=1`` alone and raise otherwise.
+    """Delete state files not in any chain of the newest
+    ``keep_manifests`` manifests, on either layout (a full-layout
+    chain is the pid's one file). Returns {kept, deleted} counts.
+    A delta store collects nothing until compact_state commits a base
+    generation: the chains reset there, and the covered delta files
+    fall out of the kept window.
 
     Files from epochs NEWER than the latest committed manifest belong to
     an in-flight (not-yet-committed) epoch — deleting them between
     MergeWithState's partition writes and commit_epoch would commit a
     manifest pointing at deleted files, so they are always kept."""
-    from cosmwasm_etl_ray.state.delta import partition_chains, store_layout
+    from cosmwasm_etl_ray.state.delta import partition_chains
 
-    delta = store_layout(store) == "delta"
-    if delta and keep_manifests != 1:
-        raise ValueError(
-            "gc_state on a delta-layout store keeps the latest chains "
-            f"only; keep_manifests={keep_manifests} would promise "
-            "time-travel reads of older epochs whose delta files this "
-            "sweep deletes — call with keep_manifests=1"
-        )
     epochs = store.committed_epochs()
     latest = epochs[-1] if epochs else -1
     referenced: set[str] = set()
-    if delta:
-        # delta layout: EVERY file in every live chain is state — the
-        # latest manifest's per-pid file is just the newest link.
-        # Before compaction nothing is collectable; after
-        # compact_state commits a base generation the chains reset
-        # there, and the covered delta files fall out of `referenced`.
-        for chain in partition_chains(store).values():
+    for e in epochs[-keep_manifests:]:
+        for chain in partition_chains(store, e).values():
             referenced.update(chain)
-    else:
-        for e in epochs[-keep_manifests:]:
-            referenced.update(store.partition_files(e).values())
 
     all_files = glob.glob(os.path.join(store.state_dir, "epoch=*", "*.parquet"))
     deleted = 0

@@ -34,6 +34,12 @@ import time
 _MANIFEST_RE = re.compile(r"^epoch-(\d{6})\.json$")
 
 
+def entry_chain(info: dict) -> list[str]:
+    """One manifest partition entry's chain: a delta link records
+    it; a full-layout or base entry is its own chain."""
+    return info.get("chain") or [info["file"]]
+
+
 class StateStore:
     def __init__(self, root: str):
         self.root = root
@@ -68,7 +74,9 @@ class StateStore:
 
     # ---- lineage ----
     def partition_files(self, epoch: int | None = None) -> dict[int, str]:
-        """pid → current state file as of `epoch` (default: latest)."""
+        """pid → newest file as of `epoch` (default: latest): the whole
+        state on a full-layout store, the newest chain link on a delta
+        store. Readers use state/delta.partition_chains."""
         if epoch is None:
             epoch = self.latest_epoch()
         if epoch is None:
@@ -91,9 +99,11 @@ class StateStore:
         previous manifest, record touched ones, rename into place.
         ``num_partitions`` is recorded because it is part of the store's
         identity (pid routing); apply_epoch validates it on resume.
-        ``layout`` ("full" | "delta") is equally identity: a partition
-        entry means "current state" in full mode but "one chain link"
-        in delta mode, so readers and resume refuse a mismatch."""
+        ``layout`` ("full" | "delta") is equally identity (resume
+        refuses a mismatch): a full entry is the pid's whole state, a
+        delta link records its ``chain`` — the previous entry's chain
+        plus the new file — and a ``base`` entry (compaction output)
+        carries none, which resets the chain (state/delta.py)."""
         prev = self.latest_epoch()
         partitions: dict[str, dict] = {}
         if prev is not None:
@@ -104,7 +114,11 @@ class StateStore:
             if layout is None:
                 layout = prev_manifest.get("layout")
         for pid, info in touched.items():
-            partitions[str(pid)] = {**info, "epoch": epoch}
+            entry = {**info, "epoch": epoch}
+            prior = partitions.get(str(pid))
+            if layout == "delta" and not info.get("base"):
+                entry["chain"] = (entry_chain(prior) if prior else []) + [info["file"]]
+            partitions[str(pid)] = entry
         manifest = {
             "epoch": epoch,
             "offset_range": list(offset_range),

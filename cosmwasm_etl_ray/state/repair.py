@@ -21,15 +21,25 @@ idempotent, manifest-tracked, and later replay continues on top of it.
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
+import ray
 import ray.data
 
 from cosmwasm_etl_ray.config import DEFAULT_CONFIG, EngineConfig
 from cosmwasm_etl_ray.functions.agg import sharded_map_groups
 from cosmwasm_etl_ray.pipelines.replay import apply_epoch, read_state
 from cosmwasm_etl_ray.sources.changes import COMMIT_WIDTH
+from cosmwasm_etl_ray.state.delta import map_chains, partition_chains
 
 KEY = ["repo", "path"]
+
+
+def _max_commit(pid: int, t: "pa.Table") -> "pa.Table":
+    """One pid's numeric max commit, tombstones included (null when
+    the chain holds no numeric commit)."""
+    m = pd.to_numeric(t["commit"].to_pandas(), errors="coerce").max()
+    return pa.table({"m": pa.array([None if pd.isna(m) else int(m)], pa.int64())})
 
 
 def diff_state_vs_snapshot(
@@ -50,7 +60,7 @@ def diff_state_vs_snapshot(
     from cosmwasm_etl_ray.functions.joins import _null_series, _side_spec
 
     snap_names, snap_types = _side_spec(snapshot, None)
-    # the state spec comes from ONE partition file's parquet footer —
+    # the state spec comes from ONE state file's parquet footer —
     # ds.schema() on the lazy read_state pipeline would execute part of
     # it (CLAUDE.md), only to be re-executed by the union below
     import pyarrow.parquet as _pq
@@ -134,25 +144,19 @@ def diff_and_repair(
     # max must include TOMBSTONES (read_state drops them, but a
     # tombstone's commit still participates in the LWW fold — a repair
     # insert stamped below a live tombstone would lose and the store
-    # would never reconverge), so scan the raw partition files pruned
-    # to the commit column; compare NUMERICALLY, never lexicographic
-    # (a caller-supplied snapshot may carry unpadded commits).
-    files = list(store.partition_files().values())
-    raw_max = (
-        ray.data.read_parquet(files, columns=["commit"])
-        .map_batches(
-            lambda df: pd.DataFrame(
-                {"m": [pd.to_numeric(df["commit"], errors="coerce").max()]}
-                if len(df)
-                else {"m": []}
-            ),
-            batch_format="pandas",
+    # would never reconverge), so scan the folded chains WITH their
+    # tombstones, pruned to the commit column; compare NUMERICALLY,
+    # never lexicographic (a caller-supplied snapshot may carry
+    # unpadded commits).
+    chains = partition_chains(store)
+    maxes = [
+        ray.get(r)["m"].to_pandas()
+        for _, r in map_chains(
+            {p: (c,) for p, c in chains.items()}, _max_commit, columns=["commit"]
         )
-        .to_pandas()
-    )
-    max_state = (
-        int(raw_max["m"].max()) if len(raw_max) and raw_max["m"].notna().any() else 0
-    )
+    ]
+    raw_max = pd.concat(maxes) if maxes else pd.Series(dtype="Int64")
+    max_state = int(raw_max.max()) if raw_max.notna().any() else 0
     snap_commits = pd.to_numeric(
         diff.get("commit", pd.Series(dtype="object")), errors="coerce"
     )

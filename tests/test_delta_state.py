@@ -12,7 +12,6 @@ import pytest
 
 from cosmwasm_etl_ray.config import EngineConfig, GeneratorConfig
 from cosmwasm_etl_ray.pipelines.replay import (
-    epoch_diff,
     lookup_state,
     read_state,
     replay_files,
@@ -164,10 +163,7 @@ def test_delta_crash_resume_reconverges(change_log, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_delta_guard_rails(change_log, tmp_path, stores):
-    _, delta = stores
-    with pytest.raises(ValueError, match="full-layout only"):
-        epoch_diff(delta, 0, 1)
+def test_delta_guard_rails(change_log, tmp_path):
     with pytest.raises(ValueError, match="whole-row LWW only"):
         replay_files(
             change_log["files"],
@@ -179,15 +175,24 @@ def test_delta_guard_rails(change_log, tmp_path, stores):
     replay_files(change_log["files"][:2], store, DELTA)
     with pytest.raises(ValueError, match="state_layout"):
         replay_files(change_log["files"], store, FULL)
-    # and so does apply_epoch (repair, quarantine replay, bootstrap)
+    # apply_epoch (repair, quarantine replay, bootstrap) takes the same
+    # write policy: a full config refuses the delta store, a delta
+    # config appends one chain link per touched pid
     import ray.data
 
     from cosmwasm_etl_ray.pipelines.replay import apply_epoch
 
+    one = ray.data.read_parquet(change_log["files"][2:3])
     with pytest.raises(ValueError, match="state_layout"):
-        apply_epoch(
-            ray.data.read_parquet(change_log["files"][2:3]), store, 1, DELTA
-        )
+        apply_epoch(one, store, 1, FULL)
+    before = partition_chains(store)
+    m = apply_epoch(one, store, 1, DELTA)
+    assert m["layout"] == "delta"
+    after = partition_chains(store)
+    touched = [p for p, v in m["partitions"].items() if v["epoch"] == 1]
+    assert touched
+    for p in touched:
+        assert after[int(p)] == before.get(int(p), []) + [m["partitions"][p]["file"]]
 
 
 def _manifest_bytes(store) -> dict:
@@ -199,12 +204,13 @@ def _manifest_bytes(store) -> dict:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_compact_state_refuses_full_layout(change_log, tmp_path):
+def test_compact_state_is_noop_on_full_layout(change_log, tmp_path):
+    """Every full-layout chain has length 1, so compact_state is a
+    no-op there: no manifest, no base generation."""
     store = StateStore(str(tmp_path / "full"))
     replay_files(change_log["files"][:3], store, FULL)
     before = _manifest_bytes(store)
-    with pytest.raises(ValueError, match="delta-layout only"):
-        compact_state(store)
+    assert compact_state(store) is None
     assert _manifest_bytes(store) == before
     assert not os.path.exists(
         os.path.join(store.state_dir, f"epoch={store.latest_epoch() + 1}")
@@ -212,20 +218,27 @@ def test_compact_state_refuses_full_layout(change_log, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_gc_keep_manifests_refused_on_delta(change_log, tmp_path):
-    """Delta gc keeps only the latest chains, so a request to keep
-    older manifests readable raises before deleting anything; the full
-    layout still honours it."""
+def test_gc_keep_manifests_honoured_on_delta(change_log, tmp_path):
+    """gc_state keeps the chains of the last keep_manifests manifests
+    on either layout: a compacted delta store swept with
+    keep_manifests=2 still serves the epoch before the latest, and
+    keep_manifests=1 then sweeps the covered deltas."""
     store = StateStore(str(tmp_path / "d"))
     replay_files(change_log["files"][:4], store, DELTA)
     compact_state(store)
-    files = sorted(glob.glob(os.path.join(store.state_dir, "**/*.parquet"),
-                             recursive=True))
-    with pytest.raises(ValueError, match="keep_manifests"):
-        gc_state(store, keep_manifests=2)
-    assert files == sorted(glob.glob(
-        os.path.join(store.state_dir, "**/*.parquet"), recursive=True))
-    assert gc_state(store)["deleted"] > 0  # the default still sweeps
+    replay_files(change_log["files"][:6], store, DELTA)
+    prev = store.latest_epoch() - 1
+    want = (
+        read_state(store, epoch=prev).to_pandas()
+        .sort_values(["repo", "path"]).reset_index(drop=True)
+    )
+    assert gc_state(store, keep_manifests=2)["deleted"] > 0
+    got = (
+        read_state(store, epoch=prev).to_pandas()
+        .sort_values(["repo", "path"]).reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, want)
+    assert gc_state(store)["deleted"] == 0  # latest-1's links are latest's too
 
     full = StateStore(str(tmp_path / "f"))
     replay_files(change_log["files"][:4], full, FULL)
@@ -241,7 +254,7 @@ def test_crash_mid_compaction_is_invisible_delta(change_log, tmp_path):
     (tmp+rename overwrites shared pid names; non-overlapping orphans
     are simply never referenced), chains stay correct, and GC sweeps
     the unreferenced orphan bytes once L+1 commits."""
-    from cosmwasm_etl_ray.state.delta import _compact_pid
+    from cosmwasm_etl_ray.state.delta import _write_base, map_chains
 
     import ray as _ray
 
@@ -253,13 +266,9 @@ def test_crash_mid_compaction_is_invisible_delta(change_log, tmp_path):
     # then "die" before commit_epoch
     orphan_dir = os.path.join(store.state_dir, f"epoch={latest + 1}")
     os.makedirs(orphan_dir, exist_ok=True)
-    some = dict(list(chains.items())[:2])
-    _ray.get([
-        _compact_pid.remote(
-            c, os.path.join(orphan_dir, f"part-{pid:05d}.parquet")
-        )
-        for pid, c in some.items()
-    ])
+    some = {pid: (c,) for pid, c in list(chains.items())[:2]}
+    _ray.get([r for _, r in map_chains(some, _write_base, orphan_dir)])
+    assert len(os.listdir(orphan_dir)) == 2
     # orphan is invisible: reads and chains unchanged
     assert partition_chains(store) == chains
     # resume replays the rest (its epoch L+1 shares the orphan's dir)
