@@ -145,10 +145,6 @@ def run_once() -> dict:
         # pays full per-epoch fixed cost while n_epochs reports N
         epoch_max_events=max(250_000, -(-N_EVENTS // N_EPOCHS)),
         batch_size=int(os.environ.get("GRAFT_BENCH_BATCH", "262144")),
-        # GRAFT_BENCH_LAYOUT=delta benches the append state layout
-        # (bench state is small, so expect a wash here — the layout's
-        # regime is large state / low touch density, SOAK_DELTA.json)
-        state_layout=os.environ.get("GRAFT_BENCH_LAYOUT", "full"),
     )
 
     # untimed warmup: spins up Ray workers so the timed

@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs for the CDC replay engine — seven, none of which selects
-    an execution path: every epoch runs the one direct pid-chained
-    exchange (pipelines/replay.py), whatever the entry point.
+    """Knobs for the CDC replay engine — six, none of which selects
+    an execution path or a state layout: every epoch runs the one
+    direct pid-chained exchange (pipelines/replay.py), whatever the
+    entry point, and each merge link appends to or folds its pid's
+    state chain by the chain's own row counts (stages/merge.appends —
+    a policy with module constants, not a knob).
 
     num_partitions is the analogue of the reference's fixed key space
     partitioning decision: it is FIXED independently of cluster size so
@@ -46,7 +49,9 @@ class EngineConfig:
     # Override column-coalesce semantics (reference ParsedTx.Override,
     # /root/reference/parser/dex/dto.go:45-95): when True, a null/empty
     # column in an update inherits the previous value column-wise.
-    # When False (default), updates are whole-row LWW.
+    # When False (default), updates are whole-row LWW. The coalesce is
+    # not associative, so in Override mode every link folds onto the
+    # pid's whole state (a base) instead of appending.
     override_coalesce: bool = False
 
     # Declarative rule registry (stages/rules.RuleSet) — the user
@@ -54,19 +59,6 @@ class EngineConfig:
     # None means the built-in CDC protocol via the compiled fast path
     # (behaviorally identical to stages.rules.default_cdc_rules()).
     rules: object | None = None
-
-    # State checkpoint WRITE policy. "full" (default): copy-on-write —
-    # each epoch rewrites every dirty partition's whole state, so every
-    # pid's chain is one file. "delta": each epoch APPENDS one folded
-    # delta file per touched pid (write volume = touched keys, not
-    # total state — the 1B soak's diagnosed limiter, SOAK_1B.json),
-    # and state/delta.compact_state folds chains into a base. Reads
-    # never depend on it: every reader folds per-pid chains
-    # (state/delta.map_chains; fold_lww_arrow is associative, so the
-    # result is bit-identical). The layout is store identity — resume,
-    # repair, quarantine replay and bootstrap (apply_epoch) refuse a
-    # mismatch with the store's committed layout.
-    state_layout: str = "full"
 
 
 DEFAULT_CONFIG = EngineConfig()

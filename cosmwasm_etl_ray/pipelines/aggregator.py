@@ -417,7 +417,8 @@ def run_all_tasks(
     cursor — it never processes an epoch the price stage hasn't
     reached. The first task error re-raises after the in-flight tick
     drains (per-task outputs are epoch-atomic, so a failed tick leaves
-    resumable cursors)."""
+    resumable cursors). A price catch-up behind the epochs gc_state
+    kept is refused before any task launches."""
     from concurrent.futures import ThreadPoolExecutor
 
     from cosmwasm_etl_ray.compat import ensure_thread_safe_lazy_imports
@@ -425,6 +426,7 @@ def run_all_tasks(
 
     out = {}
     price = PriceTask(store, cfg)
+    price.pending()
     if concurrent:
         ensure_thread_safe_lazy_imports()
         with ThreadPoolExecutor(max_workers=4) as pool:

@@ -345,12 +345,22 @@ class PriceTask:
     def _routes_path(self, epoch: int) -> str:
         return os.path.join(self.root, f"routes={epoch}.parquet")
 
+    def pending(self) -> list[int]:
+        """The committed epochs this task has not processed yet. Epoch
+        e joins the state as of e-1 and reads its own, so a catch-up
+        behind the epochs gc_state kept is refused here, before any
+        task launches (state/gc.require_chains)."""
+        from cosmwasm_etl_ray.state.gc import require_chains
+
+        start = (self.cursor() + 1) if self.cursor() is not None else 0
+        todo = [e for e in self.store.committed_epochs() if e >= start]
+        if todo:
+            require_chains(self.store, range(max(todo[0] - 1, 0), todo[-1] + 1))
+        return todo
+
     def run(self) -> list[int]:
         done = []
-        start = (self.cursor() + 1) if self.cursor() is not None else 0
-        for e in self.store.committed_epochs():
-            if e < start:
-                continue
+        for e in self.pending():
             self.process_epoch(e, self.store.manifest(e))
             done.append(e)
         return done

@@ -703,19 +703,19 @@ _DELTA_GATE_MAX_EVENTS = 2_000_000
 
 
 def _delta_store(sf_dir: str):
-    """A DELTA-layout store (state/delta.py) replayed through the
-    production direct-exchange path with a MID-STREAM compact + GC,
-    so the final read folds a real [base, delta] chain and the resume
-    cursor has walked past a synthetic compact manifest — the whole
-    delta lifecycle under the oracle gate. Built once per process
-    (the epoch-diff store discipline)."""
+    """A store whose final read folds appended links, replayed through
+    the production direct-exchange path: one large first epoch writes
+    the bases, then four epochs of ⅛ as many events as there are keys,
+    which the write policy (stages/merge.appends) appends as links
+    until a chain reaches its bounds. gc_state runs midway and the
+    replay resumes — the chain lifecycle under the oracle gate. Built
+    once per process (the epoch-diff store discipline)."""
     import dataclasses
     import os as _os
 
     import pyarrow.parquet as _pq
 
     from cosmwasm_etl_ray.pipelines.replay import replay_files
-    from cosmwasm_etl_ray.state.delta import compact_state
     from cosmwasm_etl_ray.state.gc import gc_state
     from cosmwasm_etl_ray.state.manifest import StateStore
 
@@ -737,31 +737,29 @@ def _delta_store(sf_dir: str):
         .reset_index(drop=True)
     )
     n = len(df)
+    small = max(1, int((df["op"] == "insert").sum()) // 8)  # one insert per key
+    cuts = [0, *(n - k * small for k in (4, 3, 2, 1)), n]
     files = []
-    for i in range(3):
-        part = df.iloc[i * n // 3 : (i + 1) * n // 3]
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
         f = _os.path.join(root, f"changes-{i:03d}.parquet")
-        _pq.write_table(pa.Table.from_pandas(part, preserve_index=False), f)
+        _pq.write_table(pa.Table.from_pandas(df.iloc[lo:hi], preserve_index=False), f)
         files.append(f)
-    cfg = dataclasses.replace(
-        _CFG,
-        state_layout="delta",
-        epoch_max_events=n // 3 + 1,
-    )
+    cfg = dataclasses.replace(_CFG, epoch_max_events=small)
     store = StateStore(_os.path.join(root, "store"))
-    replay_files(files[:2], store, cfg)
-    compact_state(store)
+    replay_files(files[:3], store, cfg)
     gc_state(store)
     replay_files(files, store, cfg)
+    if not any("chain" in v for v in store.manifest(store.latest_epoch())["partitions"].values()):
+        raise RuntimeError("the gate's chain store holds no appended link")
     _DELTA_STORE_CACHE[sf_dir] = store
     return store
 
 
 def cdc_final_state_delta(sf_dir: str) -> "ray.data.Dataset":
-    """cdc_final_state re-derived THROUGH the delta state layout:
-    epoch-split replay -> compact -> gc -> resume -> chain-folding
-    read_state. Same oracle as cdc_final_state — the append layout
-    must hash-match the one-shot fold bit-for-bit."""
+    """cdc_final_state re-derived THROUGH appended state chains:
+    epoch-split replay -> gc -> resume -> chain-folding read_state.
+    Same oracle as cdc_final_state — appended links must hash-match
+    the one-shot fold bit-for-bit."""
     from cosmwasm_etl_ray.pipelines.replay import read_state
 
     def hash_content(t: pa.Table) -> pa.Table:

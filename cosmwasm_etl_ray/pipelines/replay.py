@@ -17,7 +17,8 @@ replay, bootstrap) both run it:
              → split by pid                      # num_returns=P
     chain task per (epoch, pid):
         concat the pid's slices (block order) → MergeWithState
-        (quarantine side output + LWW fold onto the prior state
+        (quarantine side output + append the folded rows as a chain
+        link, or fold them with the pid's chain into a new base
         + atomic part-file write); the ObjectRef of (epoch-1, pid)
         is an argument, so epochs pipeline per partition
     driver: manifest commit, strictly in epoch order
@@ -27,12 +28,13 @@ an aggregator pool per execution (a measured fixed cost per epoch,
 BASELINE.md), and the routing here needs no repartition decision —
 ``pid`` is assigned upstream and P is fixed by the store.
 
-The layout (``cfg.state_layout``) decides only the write policy
-(``_committed_prior``): a full-layout link folds onto the pid's prior
-state file, a delta link folds its own rows into an appended file.
-Reads — ``read_state``, ``lookup_state``, ``epoch_diff`` — never
-branch on it: each folds per-pid chains through the one state reader
-(state/delta.map_chains), where a full-layout chain has length 1.
+Every store is a chain store with one write policy, owned by the
+merge link: from the counts in the pid's committed manifest entry (or
+the previous link's result) it appends while the chain is short and
+small next to its base, and folds otherwise (stages/merge.appends), so
+dense epochs write copy-on-write bases and sparse ones append. Reads —
+``read_state``, ``lookup_state``, ``epoch_diff`` — fold per-pid chains
+through the one state reader (state/delta.map_chains).
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from cosmwasm_etl_ray.stages.merge import (
 )
 from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
 from cosmwasm_etl_ray.state.delta import partition_chains, read_chains
+from cosmwasm_etl_ray.state.manifest import manifest_entries
 
 
 def _prep_split(t: "pa.Table", num_partitions: int, ruleset, combine: bool):
@@ -125,47 +128,25 @@ def _plan_shards(files: list[str], target_rows: int) -> list[tuple[str, list[int
     return shards
 
 
-def _check_partition_compat(store, P: int, layout: str) -> None:
-    """num_partitions is part of the store's identity: pid = hash(key) % P
-    routes keys to state files, so replaying with a different P would
-    silently send a key's new events to a different partition than its
-    existing state row. Manifests record P; refuse a mismatch. The state
-    layout is equally identity (a full reader over delta chains would
-    serve one epoch's slice as the whole state) — refuse that too."""
+def _committed_prior(store, P: int) -> dict[int, dict]:
+    """pid → committed manifest entry (chain + row counts) that each
+    pid's first link appends to or folds onto, shared by replay_files
+    and apply_epoch. num_partitions is part of the store's identity:
+    pid = hash(key) % P routes keys to state files, so replaying with a
+    different P would silently send a key's new events to a different
+    partition than its existing state row. Manifests record P; refuse
+    a mismatch."""
     latest = store.latest_epoch()
-    if latest is not None:
-        m = store.manifest(latest)
-        committed_p = m.get("num_partitions")
-        if committed_p is not None and committed_p != P:
-            raise ValueError(
-                f"store was built with num_partitions={committed_p}; "
-                f"config asks for {P} — refusing to mix"
-            )
-        committed_layout = m.get("layout") or "full"
-        if committed_layout != layout:
-            raise ValueError(
-                f"store was built with state_layout={committed_layout!r}; "
-                f"config asks for {layout!r} — refusing to mix"
-            )
-
-
-def _committed_prior(store, cfg: EngineConfig) -> dict[int, str] | None:
-    """The write policy — the one layout choice left on the write path,
-    shared by replay_files and apply_epoch: after the identity check,
-    pid → committed state file for the full layout (each link folds
-    onto it and rewrites the pid's whole state), or None for the
-    delta layout (each link folds only its own rows into an appended
-    file; the read side folds the chain)."""
-    _check_partition_compat(store, cfg.num_partitions, cfg.state_layout)
-    if cfg.state_layout != "delta":
-        return store.partition_files()
-    if cfg.override_coalesce:
+    if latest is None:
+        return {}
+    m = store.manifest(latest)
+    committed_p = m.get("num_partitions")
+    if committed_p is not None and committed_p != P:
         raise ValueError(
-            "state_layout='delta' is whole-row LWW only: Override "
-            "column-coalesce folds are not associative across "
-            "epochs, so delta chains cannot reproduce them"
+            f"store was built with num_partitions={committed_p}; "
+            f"config asks for {P} — refusing to mix"
         )
-    return None
+    return {int(p): info for p, info in manifest_entries(m).items()}
 
 
 def _launch_prep_tasks(
@@ -220,26 +201,37 @@ def _route(refs, P: int, per_pid: list[list]) -> None:
         per_pid[p].append(r)
 
 
+def _entry(stats: dict) -> dict:
+    """The manifest entry of one written link: a base keeps the
+    copy-on-write shape; an appended link adds its chain and the
+    chain files' row counts (state/manifest.py)."""
+    entry = {k: stats[k] for k in ("file", "rows", "live_rows")}
+    if len(stats["chain"]) > 1:
+        entry["chain"], entry["chain_rows"] = stats["chain"], stats["chain_rows"]
+    return entry
+
+
 def _merge_pid_chain(
     state_root: str,
     epoch: int,
     pid: int,
     override: bool,
     quarantine_root: str | None,
-    committed_prior: str | None,
+    committed: dict | None,
     prev,
     *parts,
 ):
-    """One link of the pid-chained merge: fold THIS pid's epoch slices
-    onto its state as of the previous epoch. ``prev`` is the (stats,
-    state_file) result of this pid's task for epoch-1 — passing its
-    ObjectRef makes Ray start this task only after the predecessor
-    finished, so epochs pipeline at PARTITION granularity with no
-    global per-epoch barrier (pid A can be three epochs ahead of a
-    straggling pid B; keys never move between pids, so only the chain
-    orders anything). Returns (stats_table | None, state_file | None)
-    for the next link."""
-    prior = prev[1] if prev is not None else committed_prior
+    """One link of the pid-chained merge: append THIS pid's epoch
+    slices to its state as of the previous epoch, or fold them into it
+    (MergeWithState decides). ``prev`` is the (stats, entry) result of
+    this pid's task for epoch-1 — passing its ObjectRef makes Ray start
+    this task only after the predecessor finished, so epochs pipeline
+    at PARTITION granularity with no global per-epoch barrier (pid A
+    can be three epochs ahead of a straggling pid B; keys never move
+    between pids, so only the chain orders anything). Returns
+    (stats | None, entry | None): the pid's manifest entry after this
+    epoch, for the next link and the commit."""
+    prior = prev[1] if prev is not None else committed
     tables = [p for p in parts if p is not None and p.num_rows > 0]
     if not tables:
         return (None, prior)
@@ -251,17 +243,16 @@ def _merge_pid_chain(
         override=override,
         quarantine_root=quarantine_root,
     )
-    stats = merge(group)
-    return (stats, stats["file"][0].as_py())
+    stats = merge(group).to_pylist()[0]
+    return (stats, _entry(stats))
 
 
 def _launch_chain(
     store, e: int, per_pid: list[list], cfg: EngineConfig, prior: dict, prev_refs: dict
 ) -> list:
     """Submit epoch ``e``'s P chain links; ``prior`` is pid → committed
-    state file and ``prev_refs`` pid → the previous epoch's link (both
-    empty for the delta layout, whose links fold only their own rows
-    into an append-only file). Updates ``prev_refs``."""
+    manifest entry and ``prev_refs`` pid → the previous epoch's link
+    (which supersedes ``prior``). Updates ``prev_refs``."""
     chain = cached_remote("replay_chain", _merge_pid_chain)
     wave = []
     for p, parts in enumerate(per_pid):
@@ -287,26 +278,19 @@ def _commit_wave(
     rows: int | None,
     wave: list,
     P: int,
-    layout: str,
 ) -> dict:
     """Wait for one epoch's chain links and commit its manifest — the
     single commit protocol of every apply path."""
-    stats = [r[0] for r in ray.get(wave) if r[0] is not None]
-    stats = pa.concat_tables(stats).to_pylist() if stats else []
-    quarantined = sum(s["quarantined"] for s in stats)
-    touched = {
-        s["pid"]: {"file": s["file"], "rows": s["rows"], "live_rows": s["live_rows"]}
-        for s in stats
-    }
+    done = [r for r in ray.get(wave) if r[0] is not None]
+    quarantined = sum(s["quarantined"] for s, _ in done)
+    touched = {s["pid"]: entry for s, entry in done}
     counts = {
         "input_events": int(rows) if rows is not None else None,
         "applied_events": int(rows) - quarantined if rows is not None else None,
         "quarantined": quarantined,
         "touched_partitions": len(touched),
     }
-    return store.commit_epoch(
-        e, touched, offset_range, counts, num_partitions=P, layout=layout
-    )
+    return store.commit_epoch(e, touched, offset_range, counts, num_partitions=P)
 
 
 def plan_epochs(files: list[str], cfg: EngineConfig) -> list[list[str]]:
@@ -342,17 +326,17 @@ def apply_epoch(
     manifest commit (which also writes the quarantine side output per
     partition). Idempotent: re-running a committed epoch is a no-op;
     re-running an uncommitted (crashed) epoch overwrites the same
-    partition files. Writes the layout ``cfg.state_layout`` names,
-    under the same write policy as replay_files (_committed_prior)."""
+    partition files. Same links, same append-or-fold policy as
+    replay_files."""
     if store.is_committed(epoch):
         return store.manifest(epoch)
 
     P = cfg.num_partitions
-    prior = _committed_prior(store, cfg)
+    prior = _committed_prior(store, P)
     ncpu = int(ray.cluster_resources().get("CPU", 32))
     per_pid = _launch_prep_blocks(changes, P, cfg, ncpu)
-    wave = _launch_chain(store, epoch, per_pid, cfg, prior or {}, {})
-    return _commit_wave(store, epoch, offset_range, input_rows, wave, P, cfg.state_layout)
+    wave = _launch_chain(store, epoch, per_pid, cfg, prior, {})
+    return _commit_wave(store, epoch, offset_range, input_rows, wave, P)
 
 
 def pending_files(files: list[str], store) -> tuple[list[str], int]:
@@ -369,8 +353,8 @@ def pending_files(files: list[str], store) -> tuple[list[str], int]:
         return files, 0
     fileset = set(files)
     # walk manifests newest-first to the most recent FILE cursor —
-    # bootstrap/repair/quarantine/compact epochs carry no file range
-    # and are skipped
+    # bootstrap/repair/quarantine epochs (and the compaction epochs of
+    # format-1 stores) carry no file range and are skipped
     for e in reversed(store.committed_epochs()):
         hi = store.manifest(e)["offset_range"][1]
         if not hi or hi in ("bootstrap", "repair", "quarantine", "compact"):
@@ -420,11 +404,7 @@ def _replay_files_direct(
     commits (blocks on) the oldest wave first."""
     MAX_WAVES = 2
     P = cfg.num_partitions
-    # the delta layout reads no prior state and chains nothing (merges
-    # across epochs are independent tasks — the read side folds the
-    # chain)
-    committed_prior = _committed_prior(store, cfg)
-    delta = committed_prior is None
+    committed = _committed_prior(store, P)
     ruleset_ref = ray.put(cfg.rules) if cfg.rules is not None else None
     prev_refs: dict[int, object] = {}
     pending: list[tuple] = []
@@ -437,15 +417,13 @@ def _replay_files_direct(
             continue
         ncpu = int(ray.cluster_resources().get("CPU", 32))
         rows, per_pid = _launch_prep_tasks(batch, P, cfg, ruleset_ref, ncpu)
-        wave = _launch_chain(
-            store, e, per_pid, cfg, committed_prior or {}, {} if delta else prev_refs
-        )
+        wave = _launch_chain(store, e, per_pid, cfg, committed, prev_refs)
         pending.append((e, (batch[0], batch[-1]), rows, wave))
         while len(pending) >= MAX_WAVES:
-            out.append(_commit_wave(store, *pending.pop(0), P, cfg.state_layout))
+            out.append(_commit_wave(store, *pending.pop(0), P))
 
     for entry in pending:
-        out.append(_commit_wave(store, *entry, P, cfg.state_layout))
+        out.append(_commit_wave(store, *entry, P))
     return out
 
 
@@ -538,7 +516,7 @@ def _diff_live(pid: int, old: "pa.Table | None", new: "pa.Table") -> "pa.Table":
     insert/update/delete by a full-outer key join. Commits strictly
     increase per key, so an update always changes the commit —
     (key, commit) equality means unchanged. Typed output even when
-    nothing changed (e.g. a compaction base): the mixed-schema hazard."""
+    nothing live changed: the mixed-schema hazard."""
 
     def live(t: "pa.Table") -> "pa.Table":
         t = t.filter(pc.not_equal(t[OP_COL], pa.scalar("delete")))
@@ -559,7 +537,7 @@ def epoch_diff(store, e_old: int, e_new: int) -> "ray.data.Dataset":
     """The change feed BETWEEN two committed epochs, read delta-bounded:
     manifest lineage says which pids epoch (e_old, e_new] touched, and
     ONLY those pids are read — fold(chain@e_old) against
-    fold(chain@e_new), on any layout — so IO follows the delta, not
+    fold(chain@e_new), across folds too — so IO follows the delta, not
     the store width (the CDC-out analogue of the reference's
     synced-height incremental consumers). Rows classify
     insert/update/delete by a full-outer key merge."""

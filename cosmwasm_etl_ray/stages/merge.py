@@ -17,7 +17,7 @@ Because the partial fold is associative and order-free (it compares the
   hash-partition shuffle, so a hot key's millions of events collapse to
   one row per batch — skew dies before the all-to-all exchange;
 - the CHAIN FOLD: the merge folds an epoch's partials onto the prior
-  state, and the delta layout folds a pid's chain of epoch deltas,
+  state, and a reader folds a pid's chain of base + appended links,
   exactly (SURVEY.md §7.4 "fold by max-commit is associative").
 
 Tombstones are retained in persisted state (finalize only on export),
@@ -41,6 +41,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from cosmwasm_etl_ray.state.manifest import entry_chain, entry_chain_rows
+
 KEY_COLS = ["repo", "path"]
 
 # State-checkpoint parquet codec. zstd-1 measured on a real 1.4M-row
@@ -54,6 +56,33 @@ STATE_CODEC = {"compression": "zstd", "compression_level": 1}
 SEQ_COL = "commit"
 OP_COL = "op"
 META_COLS = KEY_COLS + [SEQ_COL, OP_COL, "pid"]
+
+# The append-or-fold policy of every state write (MergeWithState): a
+# link APPENDS its own folded rows while the pid's chain stays at most
+# MAX_CHAIN_LINKS files and the rows appended since the base stay under
+# 1/FOLD_SHARE of the base's rows; otherwise it FOLDS the chain and the
+# epoch's rows into a new base (copy-on-write). Dense epochs therefore
+# always fold — the 1-CPU benchmark's workloads touch ≥ 0.29 of each
+# pid's rows per epoch — while sparse ones append, which writes
+# O(touched keys) instead of O(state) (SOAK_DELTA.json: 3.2× at 8%
+# density) and folds every few epochs, so a read folds ≤ 4 files per
+# pid and gc_state can sweep the covered links.
+MAX_CHAIN_LINKS = 4
+FOLD_SHARE = 4
+
+
+def appends(chain_rows: list[int] | None, epoch_rows: int) -> bool:
+    """The append-or-fold decision from counts the manifest already
+    holds: ``chain_rows`` is the row count of each file of the pid's
+    chain (base first; None when an older manifest did not record
+    them, [] for a pid with no state — both fold) and ``epoch_rows``
+    the epoch's rows for the pid before their fold (an upper bound of
+    the link's rows, so deciding costs no extra fold)."""
+    return (
+        bool(chain_rows)
+        and len(chain_rows) < MAX_CHAIN_LINKS
+        and FOLD_SHARE * (sum(chain_rows[1:]) + epoch_rows) < chain_rows[0]
+    )
 
 
 def fold_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -199,26 +228,29 @@ def _to_arrow(df: pd.DataFrame) -> pa.Table:
 class MergeWithState:
     """The per-partition merge stage — called once per (epoch, pid) by
     the replay's chain link (pipelines/replay._merge_pid_chain), which
-    hands it the pid's state file as of the previous epoch; the prior
-    state is re-read from that Parquet file once per epoch, which is
-    the deliberate cheap-restart design.
+    hands it the pid's state as of the previous epoch: its manifest
+    entry (chain + per-file row counts), or a bare file path, which is
+    a one-file chain of unknown size and so always folds.
 
     One call = one partition's folded change rows for this epoch, AS AN
-    ARROW TABLE: the quarantine split, the prior-state concat (additive
-    schema evolution: ``promote_options="permissive"`` null-backfills
-    missing columns) and the LWW fold all run in Arrow, so the wide
-    ``content`` strings never convert to Python/pandas objects on the
-    hot path (override mode is the documented pandas exception — its
-    column-wise coalesce is not batch-combinable either).
-    Writes ``epoch={e}/part-{pid:05d}.parquet`` atomically
-    (tmp + rename → task retries self-overwrite, never append — the
-    exactly-once write half; the manifest commit is the other half),
-    and returns a one-row stats table (the lineage record).
+    ARROW TABLE: the quarantine split, the append-or-fold decision
+    (``appends``), the prior-chain concat (additive schema evolution:
+    ``promote_options="permissive"`` null-backfills missing columns)
+    and the LWW fold all run in Arrow, so the wide ``content`` strings
+    never convert to Python/pandas objects on the hot path (override
+    mode is the documented pandas exception — its column-wise coalesce
+    is not associative, so it always folds onto the whole state).
+    Writes ``epoch={e}/part-{pid:05d}.parquet`` — a new base or an
+    appended link — atomically (tmp + rename → task retries
+    self-overwrite, never duplicate — the exactly-once write half; the
+    manifest commit is the other half), and returns a one-row stats table (the lineage
+    record) whose ``chain``/``chain_rows`` are the pid's chain after
+    this write (length 1 for a base).
 
     This is the ST1 analogue: the reference holds the pair key set in
     process memory and mutates it serially
     (/root/reference/parser/dex/dezswap/app.go:42-68); here each
-    partition's key set lives in its state file and is owned by
+    partition's key set lives in its chain files and is owned by
     whichever worker runs that pid's chain link — state is
     partition-local because keys route by pure hash.
     """
@@ -227,7 +259,7 @@ class MergeWithState:
         self,
         state_root: str,
         epoch: int,
-        prior_files: dict[int, str],
+        prior_files: dict[int, "str | dict"],
         override: bool = False,
         quarantine_root: str | None = None,
     ):
@@ -267,19 +299,25 @@ class MergeWithState:
                 os.replace(tmp, qout)
 
         prior = self.prior_files.get(pid)
-        if prior is not None:
-            allrows = pa.concat_tables(
-                [pq.read_table(prior), group], promote_options="permissive"
-            )
-        else:
-            allrows = group
+        if isinstance(prior, str):
+            prior = {"file": prior}
+        chain = entry_chain(prior) if prior else []
+        chain_rows = entry_chain_rows(prior) if prior else []
 
-        if self.override:
-            folded_df = fold_override(allrows.to_pandas())
-            folded_df = folded_df.sort_values(KEY_COLS, kind="stable")
-            folded = _to_arrow(folded_df)
+        if not self.override and appends(chain_rows, group.num_rows):
+            folded = fold_lww_arrow(group)
         else:
-            folded = fold_lww_arrow(allrows)  # comes out key-sorted
+            tables = [pq.read_table(f) for f in chain]
+            if self.override and len(tables) > 1:  # the LWW prior state first
+                tables = [fold_lww_arrow(pa.concat_tables(tables, promote_options="permissive"))]
+            allrows = pa.concat_tables([*tables, group], promote_options="permissive")
+            if self.override:
+                folded_df = fold_override(allrows.to_pandas())
+                folded_df = folded_df.sort_values(KEY_COLS, kind="stable")
+                folded = _to_arrow(folded_df)
+            else:
+                folded = fold_lww_arrow(allrows)  # comes out key-sorted
+            chain, chain_rows = [], []
 
         out = os.path.join(self.state_root, f"epoch={self.epoch}", f"part-{pid:05d}.parquet")
         tmp = f"{out}.tmp.{os.getpid()}"
@@ -295,5 +333,9 @@ class MergeWithState:
                 "merged_partials": pa.array([n_in], pa.int64()),
                 "quarantined": pa.array([n_quarantined], pa.int64()),
                 "file": pa.array([out], pa.string()),
+                "chain": pa.array([[*chain, out]], pa.list_(pa.string())),
+                "chain_rows": pa.array(
+                    [[*chain_rows, folded.num_rows]], pa.list_(pa.int64())
+                ),
             }
         )

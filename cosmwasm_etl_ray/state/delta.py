@@ -7,46 +7,36 @@ prep-shard cap); each task folds its pids' chains with ``fold_chain``,
 applies the caller's per-pid function and returns one Arrow table, and
 blocks are padded to one schema with typed nulls.
 
-A pid's chain is the ordered file list [base?, delta, ...] recorded in
-ONE manifest. ``state_layout="full"`` (copy-on-write) rewrites each
-touched pid's whole state, so an entry is its own chain and full
-manifests carry no ``chain`` field. ``state_layout="delta"`` APPENDS
-one folded delta file per touched pid and records the link's
-``chain`` — the write is O(touched keys), not O(total state), the 1B
-soak's diagnosed limiter (SOAK_1B.json). ``compact_state`` folds every
-chain into a base generation, committed as a synthetic epoch
-(offset_range "compact", skipped by the resume cursor walk); a base
-entry carries no chain, so it resets the chain, and gc_state then
-sweeps the covered deltas.
+A pid's chain is the ordered file list [base, link, ...] recorded in
+ONE manifest. Each merge link decides from the chain's own row counts
+whether to append its folded rows as a link or fold the chain into a
+new base (stages/merge.appends): dense epochs always write a base, so
+the chain stays one file (copy-on-write); sparse epochs append — the
+write is O(touched keys), not O(total state), the 1B soak's diagnosed
+limiter (SOAK_1B.json) — and fold once the chain would exceed 4 files
+or the appended rows reach ¼ of the base's, after which gc_state
+sweeps the covered links. No caller compacts.
 
 How rows were written never changes how they are read: the fold is
 fold_lww_arrow in epoch order (prior-first, so the tie-break matches
-the full layout bit-for-bit — LWW is associative, which is why the
-delta layout is sound). The only layout-specific code left is the
-write policy (replay._committed_prior) and the resume identity check.
-Reference analogue: one repository layer serves every reader (the
-reference parser's parser/dex/repo/repository.go:63-122).
+a copy-on-write fold bit-for-bit — LWW is associative, which is why
+appending is sound). Reference analogue: one repository layer serves
+every reader (the reference parser's parser/dex/repo/repository.go:63-122).
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
 
 from cosmwasm_etl_ray.compat import cached_remote
-from cosmwasm_etl_ray.state.manifest import entry_chain
-from cosmwasm_etl_ray.stages.merge import (
-    OP_COL,
-    STATE_CODEC,
-    fold_lww_arrow,
-)
+from cosmwasm_etl_ray.stages.merge import fold_lww_arrow
+from cosmwasm_etl_ray.state.manifest import entry_chain, manifest_entries
 
 _EPOCH_DIR_RE = re.compile(r"epoch=(\d+)")  # a state file's epoch dir
 
@@ -63,7 +53,7 @@ def partition_chains(
         return {}
     return {
         int(pid): entry_chain(info)
-        for pid, info in store.manifest(epoch)["partitions"].items()
+        for pid, info in manifest_entries(store.manifest(epoch)).items()
         if touched_after is None or info["epoch"] > touched_after
     }
 
@@ -73,8 +63,8 @@ def fold_chain(
 ) -> pa.Table | None:
     """Fold one pid's chain (None for an empty chain): concat in epoch
     order (earlier files first — fold_lww_arrow breaks equal-commit
-    ties by input position, so later epochs win exactly like the full
-    layout's prior-first concat) and LWW-fold. Tombstones KEPT (state
+    ties by input position, so later epochs win exactly like a
+    copy-on-write fold's prior-first concat) and LWW-fold. Tombstones KEPT (state
     semantics). ``filters`` must test key columns only (a key's rows
     then pass in every link or in none, so the fold is unchanged);
     ``columns`` prunes the read (the fold's key columns ride along on
@@ -82,10 +72,10 @@ def fold_chain(
 
     A full read stamps each row with an ``epoch`` column (the chain
     file it survived from, string-typed like Ray's hive-partition
-    inference): full mode stamps the epoch that last rewrote the
-    PARTITION, delta the epoch that last wrote the ROW. The column is a
-    layout artifact either way (lookup_state drops it; no gate query
-    reads it)."""
+    inference): a base stamps the epoch that last rewrote the
+    PARTITION, a link the epoch that last wrote the ROW. The column is
+    a write-history artifact either way (lookup_state drops it; no
+    gate query reads it)."""
     if not files:
         return None
     if columns is not None and len(files) > 1:
@@ -172,57 +162,3 @@ def read_chains(items, fn, *args, empty: pa.Table, **kw) -> "ray.data.Dataset":
 
     refs = [r for _, r in map_chains(items, fn, *args, **kw)]
     return ray.data.from_arrow_refs(refs) if refs else ray.data.from_arrow(empty)
-
-
-def _write_base(pid: int, t: pa.Table, out_dir: str) -> pa.Table:
-    """Write one folded chain as a base file (tmp+rename; task retries
-    overwrite idempotently); returns its manifest stats row."""
-    out = os.path.join(out_dir, f"part-{pid:05d}.parquet")
-    tmp = f"{out}.tmp.{os.getpid()}"
-    pq.write_table(t, tmp, **STATE_CODEC)
-    os.replace(tmp, out)
-    live = int(pc.sum(pc.not_equal(t[OP_COL], pa.scalar("delete"))).as_py() or 0)
-    return pa.table(
-        {
-            "pid": pa.array([pid], pa.int64()),
-            "rows": pa.array([t.num_rows], pa.int64()),
-            "live_rows": pa.array([live], pa.int64()),
-            "file": pa.array([out], pa.string()),
-        }
-    )
-
-
-def compact_state(store) -> dict | None:
-    """Fold every pid chain into a base generation, committed as a
-    synthetic manifest epoch (offset_range "compact" — the resume
-    cursor walk skips it, so replay continues from the last FILE
-    cursor exactly as before). After this commits, gc_state can sweep
-    the covered delta files. Single-compactor discipline (the replay
-    driver owns the store); returns the manifest, or None when every
-    chain already has length 1 (always so on a full-layout store)."""
-    chains = partition_chains(store)
-    if all(len(c) == 1 for c in chains.values()):
-        return None
-    latest = store.latest_epoch()
-    e = latest + 1
-    out_dir = os.path.join(store.state_dir, f"epoch={e}")
-    os.makedirs(out_dir, exist_ok=True)
-    refs = map_chains({p: (c,) for p, c in chains.items()}, _write_base, out_dir)
-    stats = pa.concat_tables(ray.get([r for _, r in refs])).to_pylist()
-    touched = {
-        s["pid"]: {"file": s["file"], "rows": s["rows"],
-                   "live_rows": s["live_rows"], "base": True}
-        for s in stats
-    }
-    return store.commit_epoch(
-        e,
-        touched,
-        ("compact", "compact"),
-        {
-            "input_events": 0,
-            "applied_events": 0,
-            "quarantined": 0,
-            "touched_partitions": len(touched),
-            "compacted_rows": sum(s["rows"] for s in stats),
-        },
-    )

@@ -1,9 +1,12 @@
 """State GC + checkpoint bootstrap.
 
-- ``gc_state``: lineage-aware garbage collection. Copy-on-write leaves
-  superseded partition files in older ``epoch=`` directories, and
-  compaction leaves covered delta links; GC keeps every file in a
-  chain of the last ``keep_manifests`` manifests and deletes the rest.
+- ``gc_state``: lineage-aware garbage collection. Every fold of a
+  pid's chain into a new base (stages/merge.appends) leaves the
+  superseded base and the links it covered in older ``epoch=``
+  directories; GC keeps every file in a chain of the last
+  ``keep_manifests`` manifests and deletes the rest. Derived tasks
+  that read older state (the price task) refuse a catch-up behind the
+  kept window (``require_chains``) instead of failing mid-run.
   Manifests themselves are kept (tiny, they ARE the lineage). The
   graft of the aggregator's truncate lever being safe to run anytime
   (D4).
@@ -28,11 +31,9 @@ from cosmwasm_etl_ray.pipelines.replay import apply_epoch
 
 def gc_state(store, keep_manifests: int = 1) -> dict:
     """Delete state files not in any chain of the newest
-    ``keep_manifests`` manifests, on either layout (a full-layout
-    chain is the pid's one file). Returns {kept, deleted} counts.
-    A delta store collects nothing until compact_state commits a base
-    generation: the chains reset there, and the covered delta files
-    fall out of the kept window.
+    ``keep_manifests`` manifests. Returns {kept, deleted} counts.
+    A pid's appended links stay until a fold writes its next base;
+    then they fall out of the kept window with the old base.
 
     Files from epochs NEWER than the latest committed manifest belong to
     an in-flight (not-yet-committed) epoch — deleting them between
@@ -64,6 +65,22 @@ def gc_state(store, keep_manifests: int = 1) -> dict:
     return {"kept": len(referenced), "deleted": deleted}
 
 
+def require_chains(store, epochs) -> None:
+    """Refuse a reader of the state as of ``epochs`` that gc_state
+    already swept: raises ValueError naming the first such epoch."""
+    from cosmwasm_etl_ray.state.delta import partition_chains
+
+    for e in epochs:
+        for chain in partition_chains(store, e).values():
+            gone = next((f for f in chain if not os.path.exists(f)), None)
+            if gone is not None:
+                raise ValueError(
+                    f"the state as of epoch {e} is gone ({gone}): gc_state "
+                    "kept fewer manifests than this catch-up reads — run the "
+                    "derived tasks before gc_state, or raise its keep_manifests"
+                )
+
+
 def bootstrap_store(
     state_df: pd.DataFrame,
     store,
@@ -72,7 +89,7 @@ def bootstrap_store(
     """Seed a fresh store's epoch 0 from a current-state table
     (columns: repo, path, commit, lang, content, ...). Rows are applied
     as insert events through the NORMAL apply path, so partitioning,
-    state layout and manifest shape are identical to a replayed store —
+    write policy and manifest shape are identical to a replayed store —
     subsequent epochs replay on top seamlessly."""
     if store.latest_epoch() is not None:
         raise ValueError("bootstrap requires an empty store")

@@ -61,6 +61,26 @@ def test_gc_then_continue_replay(tmp_path):
     )
 
 
+def test_derived_catch_up_behind_gc_window_refused(tmp_path):
+    """A price catch-up from behind the manifests gc_state kept would
+    join state files gc deleted: PriceTask and run_all_tasks refuse
+    before launching anything, naming the epoch and gc_state."""
+    import pytest
+
+    from cosmwasm_etl_ray.pipelines.aggregator import WindowStatsTask, run_all_tasks
+    from cosmwasm_etl_ray.pipelines.price import PriceTask
+
+    store = StateStore(str(tmp_path / "store"))
+    replay_files(_log(tmp_path)["files"], store, CFG)
+    assert gc_state(store, keep_manifests=2)["deleted"] > 0
+    with pytest.raises(ValueError, match=r"epoch 0 is gone .*gc_state"):
+        PriceTask(store, CFG).run()
+    with pytest.raises(ValueError, match=r"epoch 0 is gone .*gc_state"):
+        run_all_tasks(store, CFG)
+    assert WindowStatsTask(store, CFG).cursor() is None
+    assert PriceTask(store, CFG).cursor() is None
+
+
 def test_bootstrap_from_snapshot_then_replay_tail(tmp_path):
     """Bootstrap epoch 0 from the serial-oracle state of the first half
     of the log, replay the second half on top → identical final state

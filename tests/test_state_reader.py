@@ -1,9 +1,11 @@
 """The one state reader (state/delta.map_chains): the same log written
-as a full store, a delta store, and a delta store that was compacted
-and garbage-collected reads back identically through read_state (now
-and as of an epoch), lookup_state, epoch_diff, repair, quarantine
-replay, bootstrap and the price task; every result's blocks share one
-schema; and nothing outside the state layer reads state files."""
+by the engine and by a copy-on-write reference writer reads back
+identically through read_state (now and as of every epoch),
+lookup_state, epoch_diff, repair, quarantine replay, bootstrap and the
+price task — for a dense log (every write a base) and a sparse one
+(appended links, folded on the policy's bounds, and a copy gc'd to its
+last four manifests); every result's blocks share one schema; and
+nothing outside the state layer reads state files."""
 
 import ast
 import dataclasses
@@ -25,32 +27,25 @@ from cosmwasm_etl_ray.pipelines.replay import (
     lookup_state,
     read_state,
     replay_files,
+    serial_oracle_replay,
 )
 from cosmwasm_etl_ray.sources.changes import COMMIT_WIDTH
 from cosmwasm_etl_ray.sources.generator import generate_change_stream
-from cosmwasm_etl_ray.state.delta import compact_state, partition_chains
+from cosmwasm_etl_ray.state.delta import partition_chains
 from cosmwasm_etl_ray.state.gc import gc_state
 from cosmwasm_etl_ray.state.manifest import StateStore
 
-FULL = EngineConfig(num_partitions=8, epoch_max_events=15_000, batch_size=4096)
-DELTA = dataclasses.replace(FULL, state_layout="delta")
+DENSE = EngineConfig(num_partitions=8, epoch_max_events=15_000, batch_size=4096)
+# one epoch per file: the sparse log's 120-event files stay single epochs
+SPARSE = dataclasses.replace(DENSE, epoch_max_events=120)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.fixture(scope="module")
-def log(tmp_path_factory):
-    """Six 7.5k-event files without the additive ``mode`` column, then
-    one 3-event file that has it: the pids it touches gain ``mode``,
-    every other pid's state predates it."""
-    out = str(tmp_path_factory.mktemp("log"))
-    log = generate_change_stream(
-        out,
-        GeneratorConfig(
-            seed=83, n_keys=1_200, n_events=45_000, events_per_file=7_500,
-            malformed_frac=0.002, evolve_at_frac=None,
-        ),
-    )
-    last = pq.read_table(log["files"][-1]).to_pandas()
+def _add_late_file(files: list[str], out: str) -> list[str]:
+    """Append one 3-event file that has the additive ``mode`` column:
+    the pids it touches gain ``mode``, every other pid's state
+    predates it."""
+    last = pq.read_table(files[-1]).to_pandas()
     top = int(pd.to_numeric(last["commit"], errors="coerce").max())
     late = last[last["commit"] != ""].drop_duplicates(["repo", "path"]).head(3).copy()
     late["commit"] = [str(top + i + 1).zfill(COMMIT_WIDTH) for i in range(3)]
@@ -59,45 +54,59 @@ def log(tmp_path_factory):
     late["mode"] = "text"
     f = os.path.join(out, "changes-99999.parquet")
     pq.write_table(pa.Table.from_pandas(late, preserve_index=False), f)
-    return log["files"] + [f]
+    return files + [f]
 
 
 @pytest.fixture(scope="module")
-def stores(log, tmp_path_factory):
-    root = tmp_path_factory.mktemp("stores")
-    full = StateStore(str(root / "full"))
-    replay_files(log, full, FULL)
-    delta = StateStore(str(root / "delta"))
-    replay_files(log, delta, DELTA)
-    return full, delta
+def logs(tmp_path_factory, write_sparse_log):
+    """{"dense": six 7.5k-event files, "sparse": the sparse log}, each
+    without the ``mode`` column until its late 3-event file."""
+    out = str(tmp_path_factory.mktemp("dense"))
+    dense = generate_change_stream(
+        out,
+        GeneratorConfig(
+            seed=83, n_keys=1_200, n_events=45_000, events_per_file=7_500,
+            malformed_frac=0.002, evolve_at_frac=None,
+        ),
+    )["files"]
+    sparse_out = str(tmp_path_factory.mktemp("sparse"))
+    sparse = write_sparse_log(sparse_out, 83, malformed_frac=0.002, evolve_at_frac=None)
+    return {
+        "dense": _add_late_file(dense, out),
+        "sparse": _add_late_file(sparse, sparse_out),
+    }
+
+
+CFG = {"dense": DENSE, "sparse": SPARSE}
 
 
 @pytest.fixture(scope="module")
-def cg(log, tmp_path_factory):
-    """A delta store compacted twice mid-stream (replay 0, 1, compact
-    2, replay 3, compact 4, replay 5) whose gc kept the last four
-    manifests, so the links of epochs 0-1 are gone."""
+def cases(logs, rewrite_every_epoch, tmp_path_factory):
+    """name -> (reference store, engine store) over the same log and
+    epochs: the reference rewrites every touched pid at every epoch."""
+    out = {}
+    for name, files in logs.items():
+        root = tmp_path_factory.mktemp(name)
+        ref, store = StateStore(str(root / "ref")), StateStore(str(root / "engine"))
+        rewrite_every_epoch(files, ref, CFG[name])
+        replay_files(files, store, CFG[name])
+        out[name] = (ref, store)
+    sparse = out["sparse"][1]
+    assert max(len(c) for c in partition_chains(sparse).values()) > 1
+    return out
+
+
+@pytest.fixture(scope="module")
+def cg(logs, tmp_path_factory):
+    """The sparse log replayed and gc'd to its last four manifests
+    (12-15): the links and bases before the fold at epoch 12 are
+    gone."""
     cg = StateStore(str(tmp_path_factory.mktemp("cg")))
-    replay_files(log[:4], cg, DELTA)
-    compact_state(cg)
-    replay_files(log[:6], cg, DELTA)
-    compact_state(cg)
-    replay_files(log, cg, DELTA)
-    assert [cg.manifest(e)["offset_range"][0] == "compact" for e in range(6)] == [
-        False, False, True, False, True, False
-    ]
+    replay_files(logs["sparse"], cg, SPARSE)
+    assert cg.latest_epoch() == 15
+    assert all("chain" not in v for v in cg.manifest(12)["partitions"].values())
     assert gc_state(cg, keep_manifests=4)["deleted"] > 0
     return cg
-
-
-def _ref_epoch(store, ref, k: int) -> int:
-    """``ref``'s epoch holding the state of ``store``'s epoch ``k``: the
-    one that covers the same change-log files (a compaction epoch holds
-    the state of the replay epoch before it)."""
-    while store.manifest(k)["offset_range"] == ["compact", "compact"]:
-        k -= 1
-    want = store.manifest(k)["offset_range"]
-    return next(e for e in ref.committed_epochs() if ref.manifest(e)["offset_range"] == want)
 
 
 def _blocks(ds) -> list[pa.Table]:
@@ -117,65 +126,70 @@ def _rows(ds, drop=("epoch",)) -> pd.DataFrame:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_read_state_equal_on_every_layout(stores):
-    full, delta = stores
-    want = _rows(read_state(full))
-    assert "mode" in want.columns
-    assert want["mode"].isna().any() and want["mode"].notna().any()
-    pd.testing.assert_frame_equal(_rows(read_state(delta)), want)
-    assert max(len(c) for c in partition_chains(delta).values()) > 1
+def test_read_state_equal_on_every_layout(cases, logs):
+    for name, (ref, store) in cases.items():
+        want = _rows(read_state(ref))
+        assert "mode" in want.columns
+        assert want["mode"].isna().any() and want["mode"].notna().any()
+        pd.testing.assert_frame_equal(_rows(read_state(store)), want)
+        oracle = serial_oracle_replay(pd.concat([pd.read_parquet(f) for f in logs[name]]))
+        cols = ["repo", "path", "commit", "content"]
+        pd.testing.assert_frame_equal(
+            want[cols], oracle[cols].sort_values(["repo", "path"]).reset_index(drop=True)
+        )
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_read_state_as_of_epoch_equal(stores, cg):
-    full, delta = stores
-    for e in full.committed_epochs():
-        pd.testing.assert_frame_equal(
-            _rows(read_state(delta, epoch=e)), _rows(read_state(full, epoch=e))
-        )
+def test_read_state_as_of_epoch_equal(cases, cg):
+    for ref, store in cases.values():
+        assert store.committed_epochs() == ref.committed_epochs()
+        for e in ref.committed_epochs():
+            pd.testing.assert_frame_equal(
+                _rows(read_state(store, epoch=e)), _rows(read_state(ref, epoch=e))
+            )
+    ref = cases["sparse"][0]
     assert max(len(c) for c in partition_chains(cg).values()) > 1
     for k in cg.committed_epochs()[-4:]:  # gc's kept window, latest included
         pd.testing.assert_frame_equal(
-            _rows(read_state(cg, epoch=k)),
-            _rows(read_state(full, epoch=_ref_epoch(cg, full, k))),
+            _rows(read_state(cg, epoch=k)), _rows(read_state(ref, epoch=k))
         )
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_lookup_equal_on_every_layout(stores, cg, log):
-    full, delta = stores
-    live = _rows(read_state(full))
-    late = pq.read_table(log[-1]).to_pandas()[["repo", "path"]]
-    keys = pd.concat(
-        [live[["repo", "path"]].head(7), late,
-         live[["repo", "path"]].head(1),  # requested twice
-         pd.DataFrame({"repo": [live["repo"].iloc[0]], "path": ["no/such/path"]})],
-        ignore_index=True,
-    )
-    n_live = len(keys.iloc[:-2].drop_duplicates())
-    want = _rows(lookup_state(full, keys, FULL.num_partitions)[0])
-    assert len(want) == n_live
-    assert set(want["path"]) >= set(late["path"])
-    for s in (delta, cg):
-        ds, files = lookup_state(s, keys, DELTA.num_partitions)
-        pd.testing.assert_frame_equal(_rows(ds), want)
-        assert 0 < len(files) < sum(len(c) for c in partition_chains(s).values())
+def test_lookup_equal_on_every_layout(cases, cg, logs):
+    for name, (ref, store) in cases.items():
+        live = _rows(read_state(ref))
+        late = pq.read_table(logs[name][-1]).to_pandas()[["repo", "path"]]
+        keys = pd.concat(
+            [live[["repo", "path"]].head(7), late,
+             live[["repo", "path"]].head(1),  # requested twice
+             pd.DataFrame({"repo": [live["repo"].iloc[0]], "path": ["no/such/path"]})],
+            ignore_index=True,
+        )
+        n_live = len(keys.iloc[:-2].drop_duplicates())
+        want = _rows(lookup_state(ref, keys, DENSE.num_partitions)[0])
+        assert len(want) == n_live
+        assert set(want["path"]) >= set(late["path"])
+        for s in (store, cg) if name == "sparse" else (store,):
+            ds, files = lookup_state(s, keys, DENSE.num_partitions)
+            pd.testing.assert_frame_equal(_rows(ds), want)
+            assert 0 < len(files) < sum(len(c) for c in partition_chains(s).values())
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_epoch_diff_equal_on_every_layout(stores, cg):
-    full, delta = stores
-    for e in full.committed_epochs()[1:]:
-        want = _rows(epoch_diff(full, e - 1, e))
-        assert len(want) > 0
-        pd.testing.assert_frame_equal(_rows(epoch_diff(delta, e - 1, e)), want)
-    # on the compacted store, inside gc's kept window: from a
-    # compaction epoch, across one (3 → 5 spans 4), and the last pair
-    for lo, hi in ((2, 3), (3, 5), (4, 5)):
-        pd.testing.assert_frame_equal(
-            _rows(epoch_diff(cg, lo, hi)),
-            _rows(epoch_diff(full, _ref_epoch(cg, full, lo), _ref_epoch(cg, full, hi))),
-        )
+def test_epoch_diff_equal_on_every_layout(cases, cg):
+    for ref, store in cases.values():
+        for e in ref.committed_epochs()[1:]:
+            want = _rows(epoch_diff(ref, e - 1, e))
+            assert len(want) > 0
+            pd.testing.assert_frame_equal(_rows(epoch_diff(store, e - 1, e)), want)
+    # on the gc'd store, inside its kept window: into the fold at 12,
+    # across it (11 → 13 on the reference), and from it
+    ref = cases["sparse"][0]
+    for lo, hi in ((12, 13), (12, 15), (13, 15)):
+        pd.testing.assert_frame_equal(_rows(epoch_diff(cg, lo, hi)), _rows(epoch_diff(ref, lo, hi)))
+    store = cases["sparse"][1]
+    pd.testing.assert_frame_equal(_rows(epoch_diff(store, 11, 13)), _rows(epoch_diff(ref, 11, 13)))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -196,31 +210,39 @@ def test_partition_chains_reads_one_manifest(cg):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_full_manifest_records_no_chain(stores):
-    full, delta = stores
-    for e in full.committed_epochs():
-        assert all("chain" not in v for v in full.manifest(e)["partitions"].values())
-    m = delta.manifest(delta.latest_epoch())["partitions"]
-    assert all(v["chain"][-1] == v["file"] for v in m.values())
+def test_full_manifest_records_no_chain(cases):
+    """Dense epochs write bases only — the copy-on-write entry shape,
+    no chain; the late 3-event epoch appends. Links record their chain
+    (themselves last) and its files' row counts."""
+    store = cases["dense"][1]
+    *dense, late = store.committed_epochs()
+    for e in dense:
+        for v in store.manifest(e)["partitions"].values():
+            assert set(v) == {"file", "rows", "live_rows", "epoch"}
+    for s in (store, cases["sparse"][1]):
+        links = [v for v in s.manifest(s.latest_epoch())["partitions"].values() if "chain" in v]
+        assert links
+        for v in links:
+            assert v["chain"][-1] == v["file"] and len(v["chain_rows"]) == len(v["chain"])
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_price_task_equal_on_full_and_delta(stores):
+def test_price_task_equal_on_full_and_delta(cases):
     from cosmwasm_etl_ray.pipelines.price import PriceTask, repo_lang_edges
 
-    full, delta = stores
-    for e in full.committed_epochs():
-        a = repo_lang_edges(full, e).sort_values(["repo", "lang"]).reset_index(drop=True)
-        b = repo_lang_edges(delta, e).sort_values(["repo", "lang"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-    live = _rows(read_state(full))
-    assert a["n_files"].sum() == len(live)
+    for name, (ref, store) in cases.items():
+        for e in ref.committed_epochs():
+            a = repo_lang_edges(ref, e).sort_values(["repo", "lang"]).reset_index(drop=True)
+            b = repo_lang_edges(store, e).sort_values(["repo", "lang"]).reset_index(drop=True)
+            pd.testing.assert_frame_equal(a, b)
+        assert a["n_files"].sum() == len(_rows(read_state(ref)))
 
-    tf, td = PriceTask(full, FULL, base="repo_1"), PriceTask(delta, DELTA, base="repo_1")
-    assert tf.run() == td.run() == full.committed_epochs()
-    pd.testing.assert_frame_equal(tf.view(), td.view())
-    assert len(tf.view()) > 0
-    pd.testing.assert_frame_equal(tf.latest_routes(), td.latest_routes())
+        tr = PriceTask(ref, CFG[name], base="repo_1")
+        ts = PriceTask(store, CFG[name], base="repo_1")
+        assert tr.run() == ts.run() == ref.committed_epochs()
+        pd.testing.assert_frame_equal(tr.view(), ts.view())
+        assert len(tr.view()) > 0
+        pd.testing.assert_frame_equal(tr.latest_routes(), ts.latest_routes())
 
 
 def _pid_of(repo: str, path: str, P: int) -> int:
@@ -236,15 +258,17 @@ def _events(rows: pd.DataFrame, commit: str, op: str) -> "ray.data.Dataset":
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_repair_reconverges_on_delta_store(log, tmp_path):
+def test_repair_reconverges_on_delta_store(logs, tmp_path):
     """A tombstone sitting in an OLDER chain link must still lift the
-    repair commit; after repair both layouts equal the snapshot."""
+    repair commit; after repair the dense and the sparse store equal
+    their snapshots."""
     from cosmwasm_etl_ray.state.repair import diff_and_repair
 
-    results = []
-    for cfg in (FULL, DELTA):
-        store = StateStore(str(tmp_path / cfg.state_layout))
-        replay_files(log[:4], store, cfg)
+    for name, files in logs.items():
+        cfg = CFG[name]
+        store = StateStore(str(tmp_path / name))
+        # sparse: two epochs leave room in the chain for both links
+        replay_files(files[: 4 if name == "dense" else 2], store, cfg)
         snap = _rows(read_state(store))
         top = int(pd.to_numeric(snap["commit"]).max())
         victim = snap.iloc[[0]]
@@ -261,6 +285,7 @@ def test_repair_reconverges_on_delta_store(log, tmp_path):
         apply_epoch(_events(other.assign(content="stale"),
                             str(top + 1).zfill(COMMIT_WIDTH), "update"),
                     store, e + 2, cfg)
+        assert len(partition_chains(store)[pid]) >= 3
         want = snap.drop(index=snap.index[5])  # → delete
         want.loc[want.index[3], "content"] = "fixed"  # → update
         res = diff_and_repair(store, want.drop(columns=["mode"], errors="ignore"), cfg)
@@ -269,24 +294,27 @@ def test_repair_reconverges_on_delta_store(log, tmp_path):
         pd.testing.assert_frame_equal(
             got[key].reset_index(drop=True), want[key].reset_index(drop=True)
         )
-        results.append(res)
-    assert results[0] == results[1]
-    assert results[0]["n_insert"] == 1 and results[0]["n_delete"] == 1
+        assert res["n_insert"] == 1 and res["n_delete"] == 1
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_quarantine_replay_and_bootstrap_on_delta(tmp_path):
-    """replay_quarantine and bootstrap_store write the store's layout
-    and read back the same state as on a full store."""
+def test_quarantine_replay_and_bootstrap_on_delta(tmp_path, write_sparse_log, rewrite_every_epoch):
+    """replay_quarantine on a dense and a sparse store reads back the
+    same state as on the copy-on-write reference; bootstrap_store plus
+    per-file tail epochs equals the serial oracle of the whole log."""
     from cosmwasm_etl_ray.pipelines.replay import serial_oracle_replay
     from cosmwasm_etl_ray.state.gc import bootstrap_store
     from cosmwasm_etl_ray.state.quarantine import replay_quarantine
 
-    files = generate_change_stream(
-        str(tmp_path / "log"),
-        GeneratorConfig(seed=89, n_keys=600, n_events=30_000, events_per_file=7_500,
-                        malformed_frac=0.02, evolve_at_frac=None),
-    )["files"]
+    logs = {
+        "dense": generate_change_stream(
+            str(tmp_path / "log"),
+            GeneratorConfig(seed=89, n_keys=600, n_events=30_000, events_per_file=7_500,
+                            malformed_frac=0.02, evolve_at_frac=None),
+        )["files"],
+        "sparse": write_sparse_log(str(tmp_path / "sparse"), 89,
+                                   malformed_frac=0.02, evolve_at_frac=None),
+    }
 
     def fix(rows: pd.DataFrame) -> pd.DataFrame:
         rows = rows.copy()
@@ -294,30 +322,35 @@ def test_quarantine_replay_and_bootstrap_on_delta(tmp_path):
         rows.loc[blank, "commit"] = [f"{9_000_000_000 + i:010d}" for i in range(int(blank.sum()))]
         return rows
 
-    quarantined, booted = [], []
-    for cfg in (FULL, DELTA):
-        store = StateStore(str(tmp_path / f"q-{cfg.state_layout}"))
-        replay_files(files, store, cfg)
-        m = replay_quarantine(store, cfg, fix_fn=fix)
-        assert m["layout"] == cfg.state_layout and m["counts"]["quarantined"] == 0
-        quarantined.append(_rows(read_state(store)))
+    for name, files in logs.items():
+        cfg = CFG[name]
+        got = []
+        for build in (replay_files, rewrite_every_epoch):
+            store = StateStore(str(tmp_path / f"q-{name}-{build.__name__}"))
+            build(files, store, cfg)
+            m = replay_quarantine(store, cfg, fix_fn=fix)
+            assert m["format"] == 2 and m["counts"]["quarantined"] == 0
+            got.append(_rows(read_state(store)))
+        pd.testing.assert_frame_equal(got[0], got[1])
 
         head = pd.concat([pd.read_parquet(f) for f in files[:2]], ignore_index=True)
-        boot = StateStore(str(tmp_path / f"b-{cfg.state_layout}"))
-        assert bootstrap_store(serial_oracle_replay(head), boot, cfg)["layout"] == cfg.state_layout
+        boot = StateStore(str(tmp_path / f"b-{name}"))
+        assert bootstrap_store(serial_oracle_replay(head), boot, cfg)["format"] == 2
         for i, f in enumerate(files[2:], start=1):
             apply_epoch(ray.data.read_parquet([f]), boot, i, cfg, (f, f))
-        booted.append(_rows(read_state(boot)))
-    pd.testing.assert_frame_equal(quarantined[0], quarantined[1])
-    pd.testing.assert_frame_equal(booted[0], booted[1])
+        cols = ["repo", "path", "commit", "content"]
+        want = serial_oracle_replay(pd.concat([pd.read_parquet(f) for f in files]))
+        pd.testing.assert_frame_equal(
+            _rows(read_state(boot))[cols],
+            want[cols].sort_values(["repo", "path"]).reset_index(drop=True),
+        )
+    assert max(len(c) for c in partition_chains(boot).values()) > 1
 
 
 # ---- lint: state files are read through the state layer only ----
 
 _LINEAGE = {"partition_files", "partition_chains", "fold_chain", "state_dir"}
 _PARQUET_READS = {"read_parquet", "read_table", "ParquetFile", "read_schema", "read_metadata"}
-# the write policy: which committed file a full-layout link folds onto
-_EXEMPT = {("cosmwasm_etl_ray/pipelines/replay.py", "_committed_prior")}
 
 
 def _program_files() -> list[str]:
@@ -344,8 +377,6 @@ def test_no_state_reads_outside_state_layer():
         tree = ast.parse(open(os.path.join(ROOT, rel)).read(), rel)
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if (rel, fn.name) in _EXEMPT:
                 continue
             calls = {
                 c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", "")

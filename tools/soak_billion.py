@@ -26,7 +26,8 @@ at sf scale; re-proving it at 1e9 would need a second 100 GB pass):
     sentinel and MISS every tombstoned one.
   - GLOBAL COUNTS: sum(applied) + sum(quarantined) == generated
     events, quarantined == the generator's malformed count, and
-    live_keys (manifest live_rows sum) is reported per epoch.
+    live_keys (manifest live_rows sum; -1 while a pid's chain holds
+    appended links) is reported per epoch.
 
 Usage:
   python tools/soak_billion.py --trial            # 64M / 4 epochs
@@ -85,9 +86,6 @@ def main() -> None:
     ap.add_argument("--trial", action="store_true",
                     help="64M / 4 epochs / 6.4M keys quick validation")
     ap.add_argument("--root", default="/tmp/soak_billion")
-    ap.add_argument("--layout", default="full", choices=["full", "delta"],
-                    help="state checkpoint layout (delta appends per-epoch "
-                         "folded files; compacted+GCed every 4 epochs)")
     args = ap.parse_args()
     if args.trial:
         args.events, args.epochs = 64_000_000, 4
@@ -170,7 +168,6 @@ def main() -> None:
         # the call into two epochs and garble per-epoch accounting)
         epoch_max_events=chunks_per_epoch * CHUNK_EVENTS,
         batch_size=262_144,
-        state_layout=args.layout,
     )
 
     # sentinel LWW fold state (driver-side, ~10k keys)
@@ -183,7 +180,6 @@ def main() -> None:
     prev_cursor: str | None = None
     total_replay_sec = 0.0
 
-    compact_fut = None
     for e in range(args.epochs):
         lo_chunk = e * chunks_per_epoch
         hi_chunk = min((e + 1) * chunks_per_epoch, n_chunks)
@@ -212,17 +208,6 @@ def main() -> None:
         gen_sec = time.time() - tg
 
         # --- timed replay of this epoch ---
-        if compact_fut is not None:
-            tw = time.time()
-            compact_done = compact_fut.result()
-            compact_done["overlap_wait_sec"] = round(time.time() - tw, 1)
-            if metrics:
-                metrics[-1]["compact_sec"] = compact_done["compact_sec"]
-                metrics[-1]["gc_deleted"] = compact_done["deleted"]
-                metrics[-1]["overlap_wait_sec"] = compact_done[
-                    "overlap_wait_sec"
-                ]
-            compact_fut = None
         listing = ([prev_cursor] if prev_cursor else []) + files
         s0 = _cpu_ticks()
         tr = time.time()
@@ -234,51 +219,14 @@ def main() -> None:
         m = manifests[-1]
         total_applied += m["counts"]["applied_events"]
         total_quarantined += m["counts"]["quarantined"]
-        if args.layout == "delta":
-            live = -1  # per-epoch manifests carry chain links, not totals
-        else:
-            live = sum(
-                int(v.get("live_rows", 0)) for v in m["partitions"].values()
-            )
+        parts = m["partitions"].values()
+        # a link's live_rows count only its own file
+        live = -1 if any("chain" in v for v in parts) else sum(
+            int(v.get("live_rows", 0)) for v in parts
+        )
 
         # --- gc + delete-behind ---
-        if args.layout == "delta":
-            # chains accumulate; fold them into a base every 4 epochs.
-            # Compaction runs on a BACKGROUND thread overlapping the
-            # NEXT epoch's generation phase (safe: generation never
-            # touches the store, and the thread is joined before the
-            # next replay_files call, so manifest epoch numbering
-            # stays single-writer) — the deployment shape where
-            # compaction rides ingest's idle IO. compact_sec records
-            # the thread's own wall; overlap_wait_sec the residue the
-            # next epoch actually waited.
-            if (e + 1) % 4 == 0 or e == args.epochs - 1:
-                from cosmwasm_etl_ray.state.delta import compact_state
-
-                def _compact_and_gc(t0=time.time()):
-                    compact_state(store)
-                    g = gc_state(store, keep_manifests=1)
-                    g["compact_sec"] = round(time.time() - t0, 1)
-                    return g
-
-                if e == args.epochs - 1:
-                    gc = _compact_and_gc()  # final fold: run inline
-                else:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    from cosmwasm_etl_ray.compat import (
-                        ensure_thread_safe_lazy_imports,
-                    )
-
-                    ensure_thread_safe_lazy_imports()
-                    _pool = ThreadPoolExecutor(max_workers=1)
-                    compact_fut = _pool.submit(_compact_and_gc)
-                    _pool.shutdown(wait=False)
-                    gc = {"deleted": -1}  # resolved at next join
-            else:
-                gc = {"deleted": 0}
-        else:
-            gc = gc_state(store, keep_manifests=1)
+        gc = gc_state(store, keep_manifests=1)
         for f in files:
             os.remove(f)
         prev_cursor = files[-1]
@@ -298,7 +246,6 @@ def main() -> None:
             "live_keys": live,
             "state_gb": round(state_bytes / 1e9, 2),
             "gc_deleted": gc["deleted"],
-            "compact_sec": gc.get("compact_sec"),
             "steal_pct": steal,
             "disk_free_gb": round(shutil.disk_usage("/tmp").free / 1e9, 1),
         }
@@ -343,16 +290,7 @@ def main() -> None:
         "decay_last_over_first": round(
             metrics[-1]["events_per_sec"] / metrics[0]["events_per_sec"], 3
         ),
-        "final_live_keys": (
-            sum(
-                int(v.get("live_rows", 0))
-                for v in store.manifest(store.latest_epoch())[
-                    "partitions"
-                ].values()
-            )
-            if args.layout == "delta"
-            else metrics[-1]["live_keys"]
-        ),
+        "final_live_keys": metrics[-1]["live_keys"],
         "final_state_gb": metrics[-1]["state_gb"],
         "quarantined": total_quarantined,
         "generated_malformed": total_bad,
