@@ -68,3 +68,12 @@ def cached_remote(key, fn, **opts):
         r = ray.remote(**opts)(fn) if opts else ray.remote(fn)
         _REMOTE_CACHE[key] = r
     return r
+
+
+def task_cap() -> int:
+    """The fan-out cap of one raw-task step (prep shards, merge
+    pid-groups, state reader tasks, exchange prep): 2×NCPU of the
+    session — every core busy, per-task orchestration bounded."""
+    import ray
+
+    return 2 * int(ray.cluster_resources().get("CPU", 32))

@@ -46,7 +46,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from cosmwasm_etl_ray.compat import cached_remote
+from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
 
 _PARTIAL_OPS = {"sum": "sum", "count": "count", "min": "min", "max": "max"}
@@ -129,11 +129,10 @@ def shard_exchange(
     apply_t = cached_remote("agg_apply", _shard_apply, num_returns=2)
 
     blocks = _drain_block_refs(ds)
-    ncpu = int(ray.cluster_resources().get("CPU", 32))
     # bound in-flight refs: split tasks × shards ≤ ~4k (the raylet
     # degrades past ~4k small objects — BASELINE.md); at shards=256
     # that caps split tasks at 16, not 2×NCPU
-    n_tasks = max(1, min(len(blocks), 2 * ncpu, max(1, 4096 // shards)))
+    n_tasks = max(1, min(len(blocks), task_cap(), max(1, 4096 // shards)))
     per_shard: list[list] = [[] for _ in range(shards)]
     chunks = np.array_split(np.arange(len(blocks)), n_tasks) if blocks else []
     for idx in chunks:

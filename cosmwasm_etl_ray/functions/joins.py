@@ -23,7 +23,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from cosmwasm_etl_ray.compat import cached_remote
+from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
 
 
@@ -273,13 +273,12 @@ def hash_join(
         rblocks_f = pool.submit(_drain_block_refs, right)
         side_blocks = [lblocks_f.result(), rblocks_f.result()]
 
-    ncpu = int(ray.cluster_resources().get("CPU", 32))
     per_bucket: list[list] = [[] for _ in range(B)]
     for side_idx, blocks in enumerate(side_blocks):
         # bound in-flight refs: split tasks × B ≤ ~4k per side (the
         # raylet degrades past ~4k small objects, same bound as the
         # replay's direct exchange)
-        n_tasks = max(1, min(len(blocks), 2 * ncpu, max(1, 4096 // B)))
+        n_tasks = max(1, min(len(blocks), task_cap(), max(1, 4096 // B)))
         names = left_names if side_idx == 0 else right_names
         chunks = np.array_split(np.arange(len(blocks)), n_tasks) if blocks else []
         for idx in chunks:

@@ -48,7 +48,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from cosmwasm_etl_ray.compat import cached_remote
+from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
 
 PRICE_REPO_SHARDS = 32  # repo shards of the running-sum stage
@@ -270,8 +270,7 @@ def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
 
     # prep shards: bounded like the replay (in-flight refs = shards×P)
     rows = sum(pq.read_metadata(f).num_rows for f in files)
-    ncpu = int(ray.cluster_resources().get("CPU", 32))
-    target = max(task.cfg.batch_size, -(-rows // (2 * ncpu)))
+    target = max(task.cfg.batch_size, -(-rows // task_cap()))
     per_pid: list[list] = [[] for _ in range(P)]
     for path, rgs in _plan_shards(files, target):
         refs = prep.remote(path, rgs, P)

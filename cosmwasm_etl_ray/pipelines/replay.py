@@ -14,14 +14,20 @@ replay, bootstrap) both run it:
     prep task per input shard (parquet row groups, or a run of
     Dataset blocks for apply_epoch):
         read → FlagAndPartition → fold_partial_arrow (COMBINER)
-             → split by pid                      # num_returns=P
-    chain task per (epoch, pid):
-        concat the pid's slices (block order) → MergeWithState
-        (quarantine side output + append the folded rows as a chain
-        link, or fold them with the pid's chain into a new base
-        + atomic part-file write); the ObjectRef of (epoch-1, pid)
-        is an argument, so epochs pipeline per partition
+             → split by pid-group                # num_returns=G
+    chain task per (epoch, pid-group):
+        split the group's slices by pid (block order kept) → one
+        MergeWithState call per pid present (quarantine side output
+        + append the folded rows as a chain link, or fold them with
+        the pid's chain into a new base + atomic part-file write);
+        the ObjectRef of (epoch-1, group) is an argument, so epochs
+        pipeline per group
     driver: manifest commit, strictly in epoch order
+
+G = min(P, 2×NCPU) groups of consecutive pids (compat.task_cap, read
+once per call) are the unit of parallelism, like Flink's key groups;
+P stays the store's identity (one state file per pid) and G is never
+recorded, so a different NCPU writes the same bytes.
 
 Raw Ray tasks, not a Dataset groupby: the hash-shuffle operator spawns
 an aggregator pool per execution (a measured fixed cost per epoch,
@@ -48,8 +54,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from cosmwasm_etl_ray.compat import cached_remote
+from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.config import DEFAULT_CONFIG, EngineConfig
+from cosmwasm_etl_ray.functions.hashing import split_table_by_shard
 from cosmwasm_etl_ray.stages.merge import (
     OP_COL,
     MergeWithState,
@@ -62,25 +69,28 @@ from cosmwasm_etl_ray.state.delta import partition_chains, read_chains
 from cosmwasm_etl_ray.state.manifest import manifest_entries
 
 
-def _prep_split(t: "pa.Table", num_partitions: int, ruleset, combine: bool):
-    """The pre-exchange half of an epoch, fused into one task body:
-    flag+partition → LWW-combine (unless override mode) → slice by pid
-    (single argsort + zero-copy take). Returns a ``num_returns=P``
-    tuple; empty pids return None so the object store holds a tiny
-    marker, not an empty table. Depends only on the epoch's own input,
-    never on prior state."""
-    from cosmwasm_etl_ray.functions.hashing import split_table_by_shard
+def _pid_groups(P: int, cap: int) -> list[int]:
+    """Bounds of the G = min(P, cap) pid-groups, sizes differing by at
+    most one: group g holds pids bounds[g] .. bounds[g+1]-1."""
+    G = min(P, cap)
+    return [g * (P // G) + min(g, P % G) for g in range(G + 1)]
 
-    out = FlagAndPartition(num_partitions, ruleset=ruleset)(t)
+
+def _prep_split(t: "pa.Table", bounds: list[int], ruleset, combine: bool):
+    """The pre-exchange half of an epoch, fused into one task body:
+    flag+partition → LWW-combine (unless override mode) → slice by
+    pid-group (single stable argsort + zero-copy take). Returns a
+    ``num_returns=G`` tuple; empty groups return None so the object
+    store holds a tiny marker, not an empty table. Depends only on the
+    epoch's own input, never on prior state."""
+    out = FlagAndPartition(bounds[-1], ruleset=ruleset)(t)
     if combine:
         out = fold_partial_arrow(out)
-    pid = out["pid"].to_numpy(zero_copy_only=False) if out.num_rows else None
-    return split_table_by_shard(out, pid, num_partitions)
+    pid = out["pid"].to_numpy(zero_copy_only=False) if out.num_rows else []
+    return split_table_by_shard(out, np.searchsorted(bounds, pid, "right") - 1, len(bounds) - 1)
 
 
-def _prep_split_shard(
-    path: str, row_groups: list[int], num_partitions: int, ruleset, combine: bool
-):
+def _prep_split_shard(path: str, row_groups: list[int], bounds: list[int], ruleset, combine: bool):
     """Prep task over a file shard (a run of parquet row groups).
     Fusing read+flag+combine+split into one task (instead of a
     read→map→map Dataset execution) removes the streaming executor's
@@ -89,10 +99,10 @@ def _prep_split_shard(
     box (BASELINE.md). Task count = input shards, so parallelism
     follows the data, not the operator plan."""
     t = pq.ParquetFile(path).read_row_groups(row_groups)
-    return _prep_split(t, num_partitions, ruleset, combine)
+    return _prep_split(t, bounds, ruleset, combine)
 
 
-def _prep_split_blocks(num_partitions: int, ruleset, combine: bool, *blocks):
+def _prep_split_blocks(bounds: list[int], ruleset, combine: bool, *blocks):
     """Prep task over a run of Dataset blocks (apply_epoch's input),
     concatenated in block order — the same positional tie-break a
     file shard's row order gives."""
@@ -101,9 +111,9 @@ def _prep_split_blocks(num_partitions: int, ruleset, combine: bool, *blocks):
     tabs = [_as_table(b) for b in blocks if b is not None]
     tabs = [t for t in tabs if t.num_rows]
     if not tabs:
-        return None if num_partitions == 1 else (None,) * num_partitions
+        return split_table_by_shard(None, None, len(bounds) - 1)
     t = pa.concat_tables(tabs, promote_options="permissive")
-    return _prep_split(t, num_partitions, ruleset, combine)
+    return _prep_split(t, bounds, ruleset, combine)
 
 
 def _plan_shards(files: list[str], target_rows: int) -> list[tuple[str, list[int]]]:
@@ -128,77 +138,69 @@ def _plan_shards(files: list[str], target_rows: int) -> list[tuple[str, list[int
     return shards
 
 
-def _committed_prior(store, P: int) -> dict[int, dict]:
-    """pid → committed manifest entry (chain + row counts) that each
-    pid's first link appends to or folds onto, shared by replay_files
-    and apply_epoch. num_partitions is part of the store's identity:
-    pid = hash(key) % P routes keys to state files, so replaying with a
-    different P would silently send a key's new events to a different
-    partition than its existing state row. Manifests record P; refuse
-    a mismatch."""
-    latest = store.latest_epoch()
-    if latest is None:
-        return {}
-    m = store.manifest(latest)
+def _committed_prior(store, bounds: list[int]) -> dict[int, tuple]:
+    """group → ([], pid → committed manifest entry (chain + row
+    counts)): each group's first link reads it in place of a
+    predecessor's result. num_partitions (P = bounds[-1]) is part of
+    the store's identity: pid = hash(key) % P routes keys to state
+    files, so replaying with a different P would silently send a key's
+    new events to a different partition than its existing state row.
+    Manifests record P; refuse a mismatch."""
+    P, latest = bounds[-1], store.latest_epoch()
+    m = store.manifest(latest) if latest is not None else {}
     committed_p = m.get("num_partitions")
     if committed_p is not None and committed_p != P:
         raise ValueError(
             f"store was built with num_partitions={committed_p}; "
             f"config asks for {P} — refusing to mix"
         )
-    return {int(p): info for p, info in manifest_entries(m).items()}
+    committed = {int(p): info for p, info in manifest_entries(m).items()} if m else {}
+    return {
+        g: ([], {p: committed[p] for p in range(lo, hi) if p in committed})
+        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    }
 
 
 def _launch_prep_tasks(
-    batch: list[str], P: int, cfg: EngineConfig, ruleset_ref, ncpu: int
-) -> tuple[int, list[list]]:
+    batch: list[str], bounds: list[int], cfg: EngineConfig, ruleset_ref, cap: int
+) -> tuple[int, list]:
     """Fan out one epoch's file-shard prep tasks and return
-    (input_rows, per_pid ref lists).
+    (input_rows, each task's G group refs).
 
-    Shard cap: in-flight ObjectRefs per epoch are shards × P, and the
+    Shard cap: in-flight ObjectRefs per epoch are shards × G, and the
     raylet measurably degrades past ~4k small objects in flight
     (BASELINE.md: 32M-row run 69.8 s → 11.0 s with coarser shards).
-    Bound shards/epoch at 2×NCPU — enough to fill every core — by
-    raising the per-shard row target on large epochs."""
-    prep = cached_remote(("replay_prep", P), _prep_split_shard, num_returns=P)
+    Bound shards/epoch at ``cap`` (2×NCPU, enough to fill every core)
+    by raising the per-shard row target on large epochs."""
+    G = len(bounds) - 1
+    prep = cached_remote(("replay_prep", G), _prep_split_shard, num_returns=G)
     rows = sum(pq.read_metadata(f).num_rows for f in batch)
-    target = max(cfg.batch_size, -(-rows // (2 * ncpu)))
-    per_pid: list[list] = [[] for _ in range(P)]
-    for path, rgs in _plan_shards(batch, target):
-        refs = prep.remote(path, rgs, P, ruleset_ref, not cfg.override_coalesce)
-        _route(refs, P, per_pid)
-    return rows, per_pid
+    target = max(cfg.batch_size, -(-rows // cap))
+    return rows, [
+        prep.remote(path, rgs, bounds, ruleset_ref, not cfg.override_coalesce)
+        for path, rgs in _plan_shards(batch, target)
+    ]
 
 
 def _launch_prep_blocks(
-    ds: "ray.data.Dataset", P: int, cfg: EngineConfig, ncpu: int
-) -> list[list]:
+    ds: "ray.data.Dataset", bounds: list[int], cfg: EngineConfig, cap: int
+) -> list:
     """apply_epoch's prep fan-out: drain the Dataset's block refs (refs
     only — blocks stay in the object store) and run runs of
-    consecutive blocks through the same prep body, ≤ 2×NCPU tasks (the
-    file path's shard cap)."""
+    consecutive blocks through the same prep body, ≤ ``cap`` tasks
+    (the file path's shard cap)."""
     from cosmwasm_etl_ray.functions.joins import _drain_block_refs
 
-    prep = cached_remote(("replay_prep_blocks", P), _prep_split_blocks, num_returns=P)
+    G = len(bounds) - 1
+    prep = cached_remote(("replay_prep_blocks", G), _prep_split_blocks, num_returns=G)
     ruleset_ref = ray.put(cfg.rules) if cfg.rules is not None else None
     blocks = _drain_block_refs(ds)
-    per_pid: list[list] = [[] for _ in range(P)]
-    n_tasks = max(1, min(len(blocks), 2 * ncpu))
-    for idx in np.array_split(np.arange(len(blocks)), n_tasks) if blocks else []:
-        if len(idx):
-            refs = prep.remote(
-                P, ruleset_ref, not cfg.override_coalesce, *[blocks[i] for i in idx]
-            )
-            _route(refs, P, per_pid)
-    return per_pid
-
-
-def _route(refs, P: int, per_pid: list[list]) -> None:
-    """Append one prep task's P split refs to the per-pid lists."""
-    if P == 1:
-        refs = [refs]
-    for p, r in enumerate(refs):
-        per_pid[p].append(r)
+    n_tasks = max(1, min(len(blocks), cap))
+    return [
+        prep.remote(bounds, ruleset_ref, not cfg.override_coalesce, *[blocks[i] for i in idx])
+        for idx in (np.array_split(np.arange(len(blocks)), n_tasks) if blocks else [])
+        if len(idx)
+    ]
 
 
 def _entry(stats: dict) -> dict:
@@ -211,64 +213,69 @@ def _entry(stats: dict) -> dict:
     return entry
 
 
-def _merge_pid_chain(
+def _merge_group_chain(
     state_root: str,
     epoch: int,
-    pid: int,
+    lo: int,
+    hi: int,
     override: bool,
     quarantine_root: str | None,
-    committed: dict | None,
-    prev,
+    prev: tuple,
     *parts,
 ):
-    """One link of the pid-chained merge: append THIS pid's epoch
-    slices to its state as of the previous epoch, or fold them into it
-    (MergeWithState decides). ``prev`` is the (stats, entry) result of
-    this pid's task for epoch-1 — passing its ObjectRef makes Ray start
-    this task only after the predecessor finished, so epochs pipeline
-    at PARTITION granularity with no global per-epoch barrier (pid A
-    can be three epochs ahead of a straggling pid B; keys never move
-    between pids, so only the chain orders anything). Returns
-    (stats | None, entry | None): the pid's manifest entry after this
-    epoch, for the next link and the commit."""
-    prior = prev[1] if prev is not None else committed
-    tables = [p for p in parts if p is not None and p.num_rows > 0]
-    if not tables:
-        return (None, prior)
-    group = pa.concat_tables(tables, promote_options="permissive")
-    merge = MergeWithState(
-        state_root,
-        epoch,
-        {pid: prior} if prior else {},
-        override=override,
-        quarantine_root=quarantine_root,
-    )
-    stats = merge(group).to_pylist()[0]
-    return (stats, _entry(stats))
+    """One link of the group-chained merge: each pid in [lo, hi) with
+    rows this epoch appends them to its state as of the previous
+    epoch, or folds them into it (MergeWithState decides). ``prev`` is
+    the group's (stats, pid → entry) from its task for epoch-1 —
+    passing that ObjectRef makes Ray start this task only after the
+    predecessor finished, so epochs pipeline per group with no global
+    barrier — or the committed seed. Each part splits by pid with a
+    stable sort and each pid concats its slices in block order: the
+    rows and schema a one-task-per-pid exchange hands the merge, so the
+    bytes do not depend on G. Returns (stats of the pids written,
+    pid → entry)."""
+    prior = dict(prev[1])
+    slices: dict[int, list] = {}
+    for part in parts:
+        if part is None or not part.num_rows:
+            continue
+        split = split_table_by_shard(
+            part, part["pid"].to_numpy(zero_copy_only=False) - lo, hi - lo
+        )
+        for i, s in enumerate([split] if hi - lo == 1 else split):
+            if s is not None:
+                slices.setdefault(lo + i, []).append(s)
+    if not slices:
+        return ([], prior)
+    merge = MergeWithState(state_root, epoch, prior, override, quarantine_root)
+    stats = []
+    for pid in sorted(slices):
+        s = merge(pa.concat_tables(slices[pid], promote_options="permissive")).to_pylist()[0]
+        prior[pid] = _entry(s)
+        stats.append(s)
+    return (stats, prior)
 
 
 def _launch_chain(
-    store, e: int, per_pid: list[list], cfg: EngineConfig, prior: dict, prev_refs: dict
+    store, e: int, preps: list, bounds: list[int], cfg: EngineConfig, prev_refs: dict
 ) -> list:
-    """Submit epoch ``e``'s P chain links; ``prior`` is pid → committed
-    manifest entry and ``prev_refs`` pid → the previous epoch's link
-    (which supersedes ``prior``). Updates ``prev_refs``."""
-    chain = cached_remote("replay_chain", _merge_pid_chain)
-    wave = []
-    for p, parts in enumerate(per_pid):
-        ref = chain.remote(
+    """Submit epoch ``e``'s G chain links, each fed its slice of every
+    prep task; ``prev_refs`` is group → the previous link's ref (or the
+    committed seed). Updates ``prev_refs``."""
+    chain = cached_remote("replay_chain", _merge_group_chain)
+    G = len(bounds) - 1
+    for g in range(G):
+        prev_refs[g] = chain.remote(
             store.state_dir,
             e,
-            p,
+            bounds[g],
+            bounds[g + 1],
             cfg.override_coalesce,
             store.quarantine_dir,
-            prior.get(p),
-            prev_refs.get(p),
-            *parts,
+            prev_refs[g],
+            *[r if G == 1 else r[g] for r in preps],
         )
-        prev_refs[p] = ref
-        wave.append(ref)
-    return wave
+    return [prev_refs[g] for g in range(G)]
 
 
 def _commit_wave(
@@ -281,9 +288,9 @@ def _commit_wave(
 ) -> dict:
     """Wait for one epoch's chain links and commit its manifest — the
     single commit protocol of every apply path."""
-    done = [r for r in ray.get(wave) if r[0] is not None]
-    quarantined = sum(s["quarantined"] for s, _ in done)
-    touched = {s["pid"]: entry for s, entry in done}
+    done = ray.get(wave)
+    quarantined = sum(s["quarantined"] for written, _ in done for s in written)
+    touched = {s["pid"]: entries[s["pid"]] for written, entries in done for s in written}
     counts = {
         "input_events": int(rows) if rows is not None else None,
         "applied_events": int(rows) - quarantined if rows is not None else None,
@@ -322,21 +329,21 @@ def apply_epoch(
     input_rows: int | None = None,
 ) -> dict:
     """Apply one epoch of change events held in a Dataset through the
-    replay's chain: block-run prep tasks → one merge link per pid →
-    manifest commit (which also writes the quarantine side output per
-    partition). Idempotent: re-running a committed epoch is a no-op;
-    re-running an uncommitted (crashed) epoch overwrites the same
-    partition files. Same links, same append-or-fold policy as
-    replay_files."""
+    replay's chain: block-run prep tasks → one merge link per
+    pid-group → manifest commit (the links also write the quarantine
+    side output per partition). Idempotent: re-running a committed
+    epoch is a no-op; re-running an uncommitted (crashed) epoch
+    overwrites the same partition files. Same links, same
+    append-or-fold policy as replay_files."""
     if store.is_committed(epoch):
         return store.manifest(epoch)
 
-    P = cfg.num_partitions
-    prior = _committed_prior(store, P)
-    ncpu = int(ray.cluster_resources().get("CPU", 32))
-    per_pid = _launch_prep_blocks(changes, P, cfg, ncpu)
-    wave = _launch_chain(store, epoch, per_pid, cfg, prior, {})
-    return _commit_wave(store, epoch, offset_range, input_rows, wave, P)
+    cap = task_cap()
+    bounds = _pid_groups(cfg.num_partitions, cap)
+    prev_refs = _committed_prior(store, bounds)
+    preps = _launch_prep_blocks(changes, bounds, cfg, cap)
+    wave = _launch_chain(store, epoch, preps, bounds, cfg, prev_refs)
+    return _commit_wave(store, epoch, offset_range, input_rows, wave, cfg.num_partitions)
 
 
 def pending_files(files: list[str], store) -> tuple[list[str], int]:
@@ -388,13 +395,14 @@ def _replay_files_direct(
     epochs: list[list[str]], start: int, store, cfg: EngineConfig
 ) -> list[dict]:
     """The replay engine: file-shard prep tasks per epoch, then the
-    pid-chained merge links.
+    group-chained merge links.
 
-    The merge for (epoch e, pid p) is a raw task whose arguments
-    include the ObjectRef of (e-1, p)'s result — Ray's dependency
-    tracking replaces a global per-epoch barrier with P independent
-    per-partition chains, so epoch e+1's prep and e's merges overlap
-    without threads.
+    The merge for (epoch e, pid-group g) is a raw task whose arguments
+    include the ObjectRef of (e-1, g)'s result — Ray's dependency
+    tracking replaces a global per-epoch barrier with G independent
+    chains, so epoch e+1's prep and e's merges overlap without
+    threads. G is fixed once per call: a link only chains to its own
+    group's predecessor.
 
     Durability: each link writes its partition file tmp+rename, the
     driver commits manifests strictly in epoch order, and a crash
@@ -404,9 +412,10 @@ def _replay_files_direct(
     commits (blocks on) the oldest wave first."""
     MAX_WAVES = 2
     P = cfg.num_partitions
-    committed = _committed_prior(store, P)
+    cap = task_cap()
+    bounds = _pid_groups(P, cap)
+    prev_refs = _committed_prior(store, bounds)
     ruleset_ref = ray.put(cfg.rules) if cfg.rules is not None else None
-    prev_refs: dict[int, object] = {}
     pending: list[tuple] = []
     out: list[dict] = []
 
@@ -415,9 +424,8 @@ def _replay_files_direct(
         if store.is_committed(e):
             out.append(store.manifest(e))
             continue
-        ncpu = int(ray.cluster_resources().get("CPU", 32))
-        rows, per_pid = _launch_prep_tasks(batch, P, cfg, ruleset_ref, ncpu)
-        wave = _launch_chain(store, e, per_pid, cfg, committed, prev_refs)
+        rows, preps = _launch_prep_tasks(batch, bounds, cfg, ruleset_ref, cap)
+        wave = _launch_chain(store, e, preps, bounds, cfg, prev_refs)
         pending.append((e, (batch[0], batch[-1]), rows, wave))
         while len(pending) >= MAX_WAVES:
             out.append(_commit_wave(store, *pending.pop(0), P))
@@ -466,7 +474,7 @@ def _probe_keys(pid: int, t: "pa.Table", keys: "pa.Table") -> "pa.Table":
     against the requested key set (a key requested twice still hits
     once), tombstones and store-internal columns dropped."""
     t = t.join(keys, keys=["repo", "path"], join_type="left semi")
-    return _live_rows(pid, t, (OP_COL, "pid", "key64", "epoch"))
+    return _live_rows(pid, t)
 
 
 def lookup_state(

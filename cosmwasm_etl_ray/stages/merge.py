@@ -227,10 +227,11 @@ def _to_arrow(df: pd.DataFrame) -> pa.Table:
 
 class MergeWithState:
     """The per-partition merge stage — called once per (epoch, pid) by
-    the replay's chain link (pipelines/replay._merge_pid_chain), which
-    hands it the pid's state as of the previous epoch: its manifest
-    entry (chain + per-file row counts), or a bare file path, which is
-    a one-file chain of unknown size and so always folds.
+    the replay's chain link for the pid's group
+    (pipelines/replay._merge_group_chain), which hands it the group's
+    state as of the previous epoch, per pid: its manifest entry (chain
+    + per-file row counts), or a bare file path, which is a one-file
+    chain of unknown size and so always folds.
 
     One call = one partition's folded change rows for this epoch, AS AN
     ARROW TABLE: the quarantine split, the append-or-fold decision

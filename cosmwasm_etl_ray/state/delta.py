@@ -2,10 +2,11 @@
 
 Every read of committed state goes through ``map_chains``: one item
 per pid (its chain, or an (old, new) chain pair for a diff), grouped
-into at most min(#items, 2×NCPU) raw Ray tasks (the replay's
-prep-shard cap); each task folds its pids' chains with ``fold_chain``,
-applies the caller's per-pid function and returns one Arrow table, and
-blocks are padded to one schema with typed nulls.
+into at most min(#items, 2×NCPU) raw Ray tasks (compat.task_cap, also
+the replay's cap on prep shards and merge pid-groups); each task folds
+its pids' chains with ``fold_chain``, applies the caller's per-pid
+function and returns one Arrow table, and blocks are padded to one
+schema with typed nulls.
 
 A pid's chain is the ordered file list [base, link, ...] recorded in
 ONE manifest. Each merge link decides from the chain's own row counts
@@ -26,19 +27,15 @@ every reader (the reference parser's parser/dex/repo/repository.go:63-122).
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
 
-from cosmwasm_etl_ray.compat import cached_remote
+from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.stages.merge import fold_lww_arrow
 from cosmwasm_etl_ray.state.manifest import entry_chain, manifest_entries
-
-_EPOCH_DIR_RE = re.compile(r"epoch=(\d+)")  # a state file's epoch dir
 
 
 def partition_chains(
@@ -68,26 +65,13 @@ def fold_chain(
     semantics). ``filters`` must test key columns only (a key's rows
     then pass in every link or in none, so the fold is unchanged);
     ``columns`` prunes the read (the fold's key columns ride along on
-    chains longer than one).
-
-    A full read stamps each row with an ``epoch`` column (the chain
-    file it survived from, string-typed like Ray's hive-partition
-    inference): a base stamps the epoch that last rewrote the
-    PARTITION, a link the epoch that last wrote the ROW. The column is
-    a write-history artifact either way (lookup_state drops it; no
-    gate query reads it)."""
+    chains longer than one). The folded rows carry the state files'
+    columns only, so how a chain was written never shows in a read."""
     if not files:
         return None
     if columns is not None and len(files) > 1:
         columns = list(dict.fromkeys([*columns, "repo", "path", "commit"]))
-    tables = []
-    for f in files:
-        t = pq.read_table(f, columns=columns, filters=filters)
-        if columns is None and "epoch" not in t.column_names:
-            t = t.append_column(
-                "epoch", pa.array([_EPOCH_DIR_RE.search(f)[1]] * t.num_rows, pa.string())
-            )
-        tables.append(t)
+    tables = [pq.read_table(f, columns=columns, filters=filters) for f in files]
     if len(tables) == 1:
         return tables[0]
     return fold_lww_arrow(pa.concat_tables(tables, promote_options="permissive"))
@@ -129,19 +113,17 @@ def map_chains(
     chain to read, (old, new) to diff); ``fn(pid, *folded, *args)``
     runs inside the task on each pid's folded tables (None for an
     empty chain) and returns an Arrow table. Pids are grouped in pid
-    order into at most min(#items, 2×NCPU) raw tasks — the cap
-    ``_launch_prep_tasks`` puts on prep shards; one task per pid
-    measured slower than a Dataset scan (BASELINE.md, "Read path
+    order into at most min(#items, task_cap()) raw tasks; one task per
+    pid measured slower than a Dataset scan (BASELINE.md, "Read path
     unified"). Returns (pids, table ref) per task, every table in one
     schema."""
     if not items:
         return []
-    ncpu = int(ray.cluster_resources().get("CPU", 32))
     pids = sorted(items)
     task = cached_remote("state_read_group", _read_group, num_returns=2)
     groups = [
         [int(p) for p in g]
-        for g in np.array_split(np.array(pids), min(len(pids), 2 * ncpu))
+        for g in np.array_split(np.array(pids), min(len(pids), task_cap()))
     ]
     outs = [
         task.remote(fn, columns, filters, [(p, items[p]) for p in g], *args)

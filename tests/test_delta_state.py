@@ -54,18 +54,9 @@ def dense_log(tmp_path_factory):
 
 
 def _final(store, epoch=None) -> pd.DataFrame:
-    """State on the contract columns. The ``epoch`` column is
-    schema-parity only and write-history DEPENDENT by nature (a base
-    stamps the partition's last rewrite epoch, a link the row's last
-    write epoch; lookup_state drops it, no gate query reads it) —
-    excluded from value comparisons."""
+    """State on every column: no column records how it was written."""
     df = read_state(store, epoch=epoch).to_pandas()
-    assert "epoch" in df.columns  # schema parity across chain shapes
-    return (
-        df.drop(columns=["epoch"])
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
+    return df.sort_values(["repo", "path"]).reset_index(drop=True)
 
 
 def _oracle(files) -> pd.DataFrame:

@@ -1,8 +1,8 @@
-"""The direct pid-chained exchange — the one apply path.
+"""The direct group-chained exchange — the one apply path.
 
 ``replay_files`` (file-shard prep) and ``apply_epoch`` (Dataset-block
-prep) both run prep tasks → one chained merge link per pid → the
-manifest commit. These tests check that path against the independent
+prep) both run prep tasks → one chained merge link per pid-group
+(one state file per pid) → the manifest commit. These tests check that path against the independent
 serial oracles: final state, quarantine side output, Override mode,
 crash-resume reconvergence, and byte-identity of the two entry points.
 """

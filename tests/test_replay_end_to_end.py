@@ -282,7 +282,6 @@ def test_lookup_state_prunes_partitions(change_log, tmp_path):
     )
     want = (
         full.merge(keys, on=["repo", "path"])
-        .drop(columns=["epoch"], errors="ignore")  # store-internal
         .sort_values(["repo", "path"])
         .reset_index(drop=True)
     )

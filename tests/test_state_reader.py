@@ -119,9 +119,8 @@ def _blocks(ds) -> list[pa.Table]:
     return blocks
 
 
-def _rows(ds, drop=("epoch",)) -> pd.DataFrame:
+def _rows(ds) -> pd.DataFrame:
     df = pa.concat_tables(_blocks(ds)).to_pandas()
-    df = df.drop(columns=[c for c in drop if c in df.columns])
     return df[sorted(df.columns)].sort_values(["repo", "path"]).reset_index(drop=True)
 
 
