@@ -12,7 +12,7 @@ ONE execution shape applies every epoch — ``replay_files`` (the CLI,
 replay, bootstrap) both run it:
 
     prep task per input shard (parquet row groups, or a run of
-    Dataset blocks for apply_epoch):
+    Dataset blocks for apply_epoch, each block prepped on its own):
         read → FlagAndPartition → fold_partial_arrow (COMBINER)
              → split by pid-group                # num_returns=G
     chain task per (epoch, pid-group):
@@ -103,17 +103,25 @@ def _prep_split_shard(path: str, row_groups: list[int], bounds: list[int], rules
 
 
 def _prep_split_blocks(bounds: list[int], ruleset, combine: bool, *blocks):
-    """Prep task over a run of Dataset blocks (apply_epoch's input),
-    concatenated in block order — the same positional tie-break a
-    file shard's row order gives."""
+    """Prep task over a run of Dataset blocks (apply_epoch's input):
+    each block runs the prep body on its own, like a file shard, and
+    each group returns its blocks' slices as a list in block order (or
+    None) — never concatenated here, so a column one block adds reaches
+    only the pids of that block's rows."""
     from cosmwasm_etl_ray.functions.joins import _as_table
 
-    tabs = [_as_table(b) for b in blocks if b is not None]
-    tabs = [t for t in tabs if t.num_rows]
-    if not tabs:
-        return split_table_by_shard(None, None, len(bounds) - 1)
-    t = pa.concat_tables(tabs, promote_options="permissive")
-    return _prep_split(t, bounds, ruleset, combine)
+    G = len(bounds) - 1
+    groups: list[list] = [[] for _ in range(G)]
+    for b in blocks:
+        t = None if b is None else _as_table(b)
+        if t is None or not t.num_rows:
+            continue
+        split = _prep_split(t, bounds, ruleset, combine)
+        for g, s in enumerate([split] if G == 1 else split):
+            if s is not None:
+                groups[g].append(s)
+    out = [g or None for g in groups]
+    return out[0] if G == 1 else tuple(out)
 
 
 def _plan_shards(files: list[str], target_rows: int) -> list[tuple[str, list[int]]]:
@@ -186,7 +194,9 @@ def _launch_prep_blocks(
     ds: "ray.data.Dataset", bounds: list[int], cfg: EngineConfig, cap: int
 ) -> list:
     """apply_epoch's prep fan-out: drain the Dataset's block refs (refs
-    only — blocks stay in the object store) and run runs of
+    only — blocks stay in the object store) IN DATASET ORDER (the
+    executor otherwise yields them as they complete, and block order is
+    the tie-break and the quarantine row order) and run runs of
     consecutive blocks through the same prep body, ≤ ``cap`` tasks
     (the file path's shard cap)."""
     from cosmwasm_etl_ray.functions.joins import _drain_block_refs
@@ -194,6 +204,8 @@ def _launch_prep_blocks(
     G = len(bounds) - 1
     prep = cached_remote(("replay_prep_blocks", G), _prep_split_blocks, num_returns=G)
     ruleset_ref = ray.put(cfg.rules) if cfg.rules is not None else None
+    ds = ray.data.Dataset.copy(ds, _deep_copy=True)  # own context: the caller's is untouched
+    ds.context.execution_options.preserve_order = True
     blocks = _drain_block_refs(ds)
     n_tasks = max(1, min(len(blocks), cap))
     return [
@@ -229,14 +241,15 @@ def _merge_group_chain(
     the group's (stats, pid → entry) from its task for epoch-1 —
     passing that ObjectRef makes Ray start this task only after the
     predecessor finished, so epochs pipeline per group with no global
-    barrier — or the committed seed. Each part splits by pid with a
-    stable sort and each pid concats its slices in block order: the
-    rows and schema a one-task-per-pid exchange hands the merge, so the
-    bytes do not depend on G. Returns (stats of the pids written,
-    pid → entry)."""
+    barrier — or the committed seed. A part is a prep task's slice of
+    the group: a table, a list of them (one per Dataset block) or None.
+    Each slice splits by pid with a stable sort and each pid concats its
+    slices in input order: the rows and schema a one-task-per-pid
+    exchange hands the merge, so the bytes do not depend on G. Returns
+    (stats of the pids written, pid → entry)."""
     prior = dict(prev[1])
     slices: dict[int, list] = {}
-    for part in parts:
+    for part in [t for p in parts for t in (p if isinstance(p, list) else [p])]:
         if part is None or not part.num_rows:
             continue
         split = split_table_by_shard(
@@ -437,7 +450,7 @@ def _replay_files_direct(
 
 def _empty_state_table() -> "pa.Table":
     """Typed empty state table (the canonical change-log value columns
-    minus the store-internal op/pid/key64) — ONE definition shared by
+    minus the store-internal op/pid) — ONE definition shared by
     read_state and lookup_state so an empty store cannot produce two
     different schemas (the mixed-schema-union hazard)."""
     return pa.table(
@@ -453,8 +466,10 @@ def _empty_state_table() -> "pa.Table":
 
 def _live_rows(pid: int, t: "pa.Table", drop=(OP_COL, "pid", "key64")) -> "pa.Table":
     """The serving view of one folded chain: tombstones and
-    store-internal columns dropped, Arrow-native (the wide content
-    strings never convert to pandas just for a tombstone filter)."""
+    store-internal columns dropped (``key64``, the routing hash, is
+    only in stores written before the fold went exact-key),
+    Arrow-native (the wide content strings never convert to pandas
+    just for a tombstone filter)."""
     t = t.filter(pc.not_equal(t[OP_COL], pa.scalar("delete")))
     return t.drop_columns([c for c in drop if c in t.column_names])
 
@@ -482,9 +497,8 @@ def lookup_state(
 ) -> tuple["ray.data.Dataset", list[str]]:
     """Point lookups on the merge store — its serving path: fold ONLY
     the chains of the pids the (repo, path) keys hash to, so a handful
-    of keys reads a handful of chains whatever the store's width. The
-    repo membership test is pushed into the parquet read (statistics
-    can skip row groups); the exact key probe runs in the reader task.
+    of keys reads a handful of chains whatever the store's width; the
+    exact key probe runs on each folded chain in the reader task.
     Tombstoned keys simply miss. Returns the live-rows Dataset and
     every chain file read."""
     from cosmwasm_etl_ray.functions.hashing import assign_partition
@@ -506,7 +520,6 @@ def lookup_state(
         items,
         _probe_keys,
         key_tab,
-        filters=pc.field("repo").isin(pc.unique(key_tab["repo"])),
         empty=_empty_state_table(),
     )
     return ds, files
@@ -575,9 +588,7 @@ def quick_final_state(
         def fold_and_finalize_pd(g: pd.DataFrame) -> pd.DataFrame:
             g = g[g["valid"]].drop(columns=["valid"])
             f = fold_override(g)
-            return f[f[OP_COL] != "delete"].drop(
-                columns=[c for c in ("pid", "key64") if c in f.columns]
-            )
+            return f[f[OP_COL] != "delete"].drop(columns=["pid"])
 
         return flagged.groupby("pid").map_groups(
             fold_and_finalize_pd, batch_format="pandas"
@@ -591,7 +602,7 @@ def quick_final_state(
         g = g.filter(g["valid"].combine_chunks()).drop_columns(["valid"])
         f = fold_lww_arrow(g)
         f = f.filter(pc.not_equal(f[OP_COL], pa.scalar("delete")))
-        return f.drop_columns([c for c in ("pid", "key64") if c in f.column_names])
+        return f.drop_columns(["pid"])
 
     return flagged.groupby("pid").map_groups(
         fold_and_finalize, batch_format="pyarrow"

@@ -49,7 +49,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from cosmwasm_etl_ray.compat import cached_remote
+from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
 from cosmwasm_etl_ray.stages.transfers import (
     TransferMapperFamily,
@@ -158,7 +158,7 @@ def _finish_transfer_pid(root: str, qdir: str, epoch: int, pid: int, *parts):
 
 
 def _plan_epoch_shards(
-    path: str, lo: int, hi: int, ncpu: int, target_rows: int | None = None
+    path: str, lo: int, hi: int, cap: int, target_rows: int | None = None
 ) -> list[tuple[str, list[int]]]:
     """Prep shards for one epoch, PRUNED by parquet row-group
     statistics: a row group whose [min, max] of l_orderkey misses
@@ -173,8 +173,8 @@ def _plan_epoch_shards(
     I/O, where each epoch's read volume drops by ~n_epochs×.
 
     The shard size target derives from the PRUNED row count (not file
-    total) so a pruned epoch still fans out to ~2·ncpu prep tasks when
-    its row-group population allows."""
+    total) so a pruned epoch still fans out to ~``cap`` prep tasks
+    (compat.task_cap) when its row-group population allows."""
     md = pq.read_metadata(path)
     idx = md.schema.names.index("l_orderkey")
     keep: list[int] = []
@@ -188,7 +188,7 @@ def _plan_epoch_shards(
             keep.append(rg)
             kept_rows += md.row_group(rg).num_rows
     if target_rows is None:
-        target_rows = max(65536, -(-kept_rows // (2 * ncpu)))
+        target_rows = max(65536, -(-kept_rows // cap))
     shards: list[tuple[str, list[int]]] = []
     cur: list[int] = []
     cur_rows = 0
@@ -282,9 +282,8 @@ class TransferParserPipeline:
         finish = cached_remote("xfer_finish", _finish_transfer_pid)
 
         path = f"{self.sf_dir}/lineitem.parquet"
-        ncpu = int(_ray.cluster_resources().get("CPU", 32))
         per_pid: list[list] = [[] for _ in range(P)]
-        for pth, rgs in _plan_epoch_shards(path, lo, hi, ncpu):
+        for pth, rgs in _plan_epoch_shards(path, lo, hi, task_cap()):
             refs = prep.remote(pth, rgs, lo, hi, P)
             if P == 1:
                 refs = [refs]

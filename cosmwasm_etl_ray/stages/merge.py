@@ -4,24 +4,26 @@ Graft of the reference's keyed apply: pair upsert + parsed-tx insert
 committed per height (/root/reference/parser/dex/repo/repository.go:63-122)
 and the ParsedTx.Override "last non-empty wins" merge
 (/root/reference/parser/dex/dto.go:45-95), re-expressed as an
-associative fold over Arrow/pandas batches:
+associative fold over Arrow tables, ONE kernel ``fold_lww_arrow``:
 
-  partial(batch)   = max-commit row per (repo, path), tombstones KEPT
-  merge(p1, p2)    = partial(concat(p1, p2))            (associative)
-  finalize(state)  = drop rows whose op == 'delete'
+  fold(rows)       = max-commit row per exact (repo, path), tombstones
+                     KEPT, an equal commit won by the later position
+  fold(r1 ++ r2)   = fold(fold(r1) ++ fold(r2))            (associative)
 
-Because the partial fold is associative and order-free (it compares the
-``commit`` sequence number, not arrival order), it doubles as:
+Because the fold compares the ``commit`` sequence number (position
+only breaks a tie, and every caller concatenates earlier input first),
+the same kernel serves as:
 
-- the COMBINER: every map_batches batch is pre-folded before the
-  hash-partition shuffle, so a hot key's millions of events collapse to
-  one row per batch — skew dies before the all-to-all exchange;
-- the CHAIN FOLD: the merge folds an epoch's partials onto the prior
-  state, and a reader folds a pid's chain of base + appended links,
-  exactly (SURVEY.md §7.4 "fold by max-commit is associative").
+- the COMBINER (``fold_partial_arrow``): every prep shard is pre-folded
+  before the exchange, so a hot key's events collapse to one row per
+  shard — skew dies before the all-to-all; quarantine rows pass through;
+- the MERGE: a link folds the epoch's rows onto the pid's prior state;
+- the CHAIN READ: a reader folds a pid's chain of base + appended
+  links (state/delta.fold_chain), exactly (SURVEY.md §7.4 "fold by
+  max-commit is associative").
 
-Tombstones are retained in persisted state (finalize only on export),
-so re-applying an epoch is idempotent — the exactly-once story does not
+Tombstones are retained in persisted state (readers filter them), so
+re-applying an epoch is idempotent — the exactly-once story does not
 depend on tasks running once.
 
 Override mode (column-wise coalesce) applies the reference's
@@ -85,78 +87,59 @@ def appends(chain_rows: list[int] | None, epoch_rows: int) -> bool:
     )
 
 
-def fold_partial(df: pd.DataFrame) -> pd.DataFrame:
-    """Whole-row LWW partial fold: max-commit row per key, deletes kept.
-
-    Ties on equal commit resolve to the later input position (stable
-    sort — the analogue of the reference's insertion-id tiebreak,
-    /root/reference/pkg/db/parser/repository.go:492).
-    """
-    if len(df) <= 1:
-        return df
-    return df.sort_values(SEQ_COL, kind="stable").drop_duplicates(
-        KEY_COLS, keep="last"
-    )
+def _rank(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:
+    """Order-preserving int64 codes of a string column: equal values
+    share a code and codes sort like the values (Arrow compares UTF-8
+    bytes, which is code-point order). Returns (codes, #distinct)."""
+    enc = pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
+    d = len(enc.dictionary)
+    rank = np.empty(d, np.int64)
+    rank[pc.sort_indices(enc.dictionary).to_numpy()] = np.arange(d)
+    return rank[enc.indices.to_numpy(zero_copy_only=False)], d
 
 
-def fold_partial_arrow(t: pa.Table) -> pa.Table:
-    """Zero-copy-friendly combiner: fold only ``valid`` rows (max-commit
-    row per key, like fold_partial) and pass quarantine rows through
-    untouched — they must reach the merge stage with their raw payload
-    intact. Implemented as an Arrow ``take``: only
-    the (key64, commit, valid) columns are touched; the wide content
-    strings never convert to Python objects. Requires the ``key64``
-    column from FlagAndPartition. Hash-collision note: two keys
-    sharing a 64-bit SipHash would fold together; at 2^64 key space
-    this is the standard engine trade (same as any hash join)."""
-    n = t.num_rows
-    if n <= 1:
-        return t
-    valid = t["valid"].to_numpy(zero_copy_only=False).astype(bool)
-    key = t["key64"].to_numpy(zero_copy_only=False)
-    vidx = np.nonzero(valid)[0]
-    if len(vidx) == 0:
-        return t
-    # commit → int64 entirely in Arrow (no Python-object round trip);
-    # invalid rows get a placeholder "0" — they are excluded from the
-    # fold anyway
-    commit_all = pc.cast(
-        pc.if_else(
-            t["valid"].combine_chunks(),
-            t["commit"].combine_chunks(),
-            pa.scalar("0"),
-        ),
-        pa.int64(),
-    ).to_numpy(zero_copy_only=False)
-    commit_num = commit_all[vidx]
-    order = np.lexsort((np.arange(len(vidx)), commit_num, key[vidx]))
-    sk = key[vidx][order]
-    is_last = np.r_[sk[1:] != sk[:-1], True]
-    keep = np.sort(np.concatenate([vidx[order][is_last], np.nonzero(~valid)[0]]))
-    if len(keep) == n:
-        return t
-    return t.take(pa.array(keep))
+def _lww_winners(t: pa.Table) -> np.ndarray:
+    """Row indices of the LWW winners of ``t``, in (repo, path) order:
+    per exact key the max-commit row, an equal commit won by the later
+    input position (np.lexsort is stable)."""
+    repo, _ = _rank(t["repo"])
+    path, n_paths = _rank(t["path"])
+    key = repo * n_paths + path
+    commit = pc.cast(t["commit"], pa.int64()).to_numpy(zero_copy_only=False)
+    order = np.lexsort((commit, key))
+    k = key[order]
+    return order[np.r_[k[1:] != k[:-1], True]]
 
 
 def fold_lww_arrow(t: pa.Table) -> pa.Table:
-    """Arrow-native whole-row LWW fold by EXACT (repo, path) keys —
-    the merge-stage twin of fold_partial: max-commit row per key, ties
-    on equal commit broken by input position (prior state is
+    """THE LWW fold — the combiner's, the merge's and the chain read's:
+    max-commit row per exact (repo, path) key, tombstones kept, ties on
+    equal commit won by the later input position (prior state is
     concatenated before the epoch's rows, so state loses to same-commit
-    re-applies exactly like the pandas fold). Only (repo, path, commit)
-    convert to numpy; the wide content strings are moved by a single
-    zero-copy ``take``. Output rows come out key-sorted — the
-    deterministic file order the sink wants — without a pandas trip."""
-    n = t.num_rows
-    if n <= 1:
+    re-applies). Only the key and commit columns are encoded; the wide
+    content strings move in one ``take``. Output rows come out sorted
+    by (repo, path) — the deterministic file order the sink wants."""
+    if t.num_rows <= 1:
         return t
-    repo = np.asarray(t["repo"].to_numpy(zero_copy_only=False), dtype="U")
-    path = np.asarray(t["path"].to_numpy(zero_copy_only=False), dtype="U")
-    commit = pc.cast(t["commit"], pa.int64()).to_numpy(zero_copy_only=False)
-    order = np.lexsort((np.arange(n), commit, path, repo))
-    r, p = repo[order], path[order]
-    is_last = np.r_[(r[1:] != r[:-1]) | (p[1:] != p[:-1]), True]
-    return t.take(pa.array(order[is_last]))
+    return t.take(pa.array(_lww_winners(t)))
+
+
+def fold_partial_arrow(t: pa.Table) -> pa.Table:
+    """The prep combiner: fold_lww_arrow over the ``valid`` rows (the
+    folded rows keep their input positions) while the quarantine rows
+    pass through untouched, in input order — they reach the merge stage
+    with their raw payload intact."""
+    if t.num_rows <= 1:
+        return t
+    valid = t["valid"].to_numpy(zero_copy_only=False).astype(bool)
+    vidx = np.nonzero(valid)[0]
+    if len(vidx) == 0:
+        return t
+    keys = t.select(KEY_COLS + [SEQ_COL])
+    if len(vidx) < t.num_rows:
+        keys = keys.take(pa.array(vidx))
+    keep = np.sort(np.concatenate([vidx[_lww_winners(keys)], np.nonzero(~valid)[0]]))
+    return t if len(keep) == t.num_rows else t.take(pa.array(keep))
 
 
 def fold_override(df: pd.DataFrame) -> pd.DataFrame:
@@ -201,11 +184,6 @@ def fold_override(df: pd.DataFrame) -> pd.DataFrame:
     out_parts.append(dead)
     out = pd.concat(out_parts, ignore_index=True)
     return out[list(df.columns)]
-
-
-def finalize(df: pd.DataFrame) -> pd.DataFrame:
-    """Drop tombstones — the exported 'current state' view."""
-    return df[df[OP_COL] != "delete"]
 
 
 def _to_arrow(df: pd.DataFrame) -> pa.Table:
@@ -308,10 +286,16 @@ class MergeWithState:
         if not self.override and appends(chain_rows, group.num_rows):
             folded = fold_lww_arrow(group)
         else:
-            tables = [pq.read_table(f) for f in chain]
-            if self.override and len(tables) > 1:  # the LWW prior state first
-                tables = [fold_lww_arrow(pa.concat_tables(tables, promote_options="permissive"))]
-            allrows = pa.concat_tables([*tables, group], promote_options="permissive")
+            from cosmwasm_etl_ray.state.delta import fold_chain
+
+            state = fold_chain(chain)
+            if state is not None and "key64" in state.column_names:
+                # the routing hash that stores written before the exact-key
+                # fold carry: a new base drops it
+                state = state.drop_columns(["key64"])
+            allrows = group if state is None else pa.concat_tables(
+                [state, group], promote_options="permissive"
+            )
             if self.override:
                 folded_df = fold_override(allrows.to_pandas())
                 folded_df = folded_df.sort_values(KEY_COLS, kind="stable")

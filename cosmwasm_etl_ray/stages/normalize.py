@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from cosmwasm_etl_ray.functions.hashing import assign_partition, stable_hash64
+from cosmwasm_etl_ray.functions.hashing import assign_partition
 
 _VALID_OPS = ("insert", "update", "delete")
 
@@ -74,9 +74,7 @@ class PartitionAssigner:
         path = batch["path"].to_numpy(zero_copy_only=False)
         repo = np.where(pd.isna(repo), "", repo)
         path = np.where(pd.isna(path), "", path)
-        key64 = stable_hash64(np.asarray(repo), np.asarray(path))
-        pid = (key64 % np.uint64(self.p)).astype(np.int32)
-        batch = batch.append_column("key64", pa.array(key64, type=pa.uint64()))
+        pid = assign_partition(np.asarray(repo), np.asarray(path), self.p)
         return batch.append_column("pid", pa.array(pid, type=pa.int32()))
 
 

@@ -21,8 +21,11 @@ sweeps the covered links. No caller compacts.
 How rows were written never changes how they are read: the fold is
 fold_lww_arrow in epoch order (prior-first, so the tie-break matches
 a copy-on-write fold bit-for-bit — LWW is associative, which is why
-appending is sound). Reference analogue: one repository layer serves
-every reader (the reference parser's parser/dex/repo/repository.go:63-122).
+appending is sound). The merge link's fold reads the prior chain
+through ``fold_chain`` too. Readers take no parquet predicate: a
+caller's key cut (lookup_state's semi join) runs on the folded rows.
+Reference analogue: one repository layer serves every reader (the
+reference parser's parser/dex/repo/repository.go:63-122).
 """
 
 from __future__ import annotations
@@ -55,34 +58,34 @@ def partition_chains(
     }
 
 
-def fold_chain(
-    files: list[str], columns: list[str] | None = None, filters=None
-) -> pa.Table | None:
+def fold_chain(files: list[str], columns: list[str] | None = None) -> pa.Table | None:
     """Fold one pid's chain (None for an empty chain): concat in epoch
     order (earlier files first — fold_lww_arrow breaks equal-commit
     ties by input position, so later epochs win exactly like a
-    copy-on-write fold's prior-first concat) and LWW-fold. Tombstones KEPT (state
-    semantics). ``filters`` must test key columns only (a key's rows
-    then pass in every link or in none, so the fold is unchanged);
-    ``columns`` prunes the read (the fold's key columns ride along on
-    chains longer than one). The folded rows carry the state files'
-    columns only, so how a chain was written never shows in a read."""
+    copy-on-write fold's prior-first concat) and LWW-fold. Tombstones
+    KEPT (state semantics). The read and the merge link's fold both
+    come here. ``columns`` prunes the read (the fold's key columns
+    ride along on chains longer than one); each file is read whole
+    through ``ParquetFile`` — no dataset discovery, no predicate: a
+    caller's key cut runs on the folded rows. The folded rows carry
+    the state files' columns only, so how a chain was written never
+    shows in a read."""
     if not files:
         return None
     if columns is not None and len(files) > 1:
         columns = list(dict.fromkeys([*columns, "repo", "path", "commit"]))
-    tables = [pq.read_table(f, columns=columns, filters=filters) for f in files]
+    tables = [pq.ParquetFile(f).read(columns=columns) for f in files]
     if len(tables) == 1:
         return tables[0]
     return fold_lww_arrow(pa.concat_tables(tables, promote_options="permissive"))
 
 
-def _read_group(fn, columns, filters, group, *args):
+def _read_group(fn, columns, group, *args):
     """One reader task: fold each (pid, chains) item, apply ``fn``,
     concat. Returns (table, schema) so the driver can align schemas
     without fetching the table."""
     outs = [
-        fn(pid, *[fold_chain(c, columns, filters) for c in chains], *args)
+        fn(pid, *[fold_chain(c, columns) for c in chains], *args)
         for pid, chains in group
     ]
     t = outs[0] if len(outs) == 1 else pa.concat_tables(outs, promote_options="permissive")
@@ -107,7 +110,6 @@ def map_chains(
     fn,
     *args,
     columns: list[str] | None = None,
-    filters=None,
 ) -> list[tuple[list[int], "ray.ObjectRef"]]:
     """THE state reader. ``items`` maps pid -> a tuple of chains (one
     chain to read, (old, new) to diff); ``fn(pid, *folded, *args)``
@@ -126,7 +128,7 @@ def map_chains(
         for g in np.array_split(np.array(pids), min(len(pids), task_cap()))
     ]
     outs = [
-        task.remote(fn, columns, filters, [(p, items[p]) for p in g], *args)
+        task.remote(fn, columns, [(p, items[p]) for p in g], *args)
         for g in groups
     ]
     schemas = ray.get([s for _, s in outs])

@@ -9,11 +9,18 @@ covered by tests/test_replay_end_to_end.py.
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
-from cosmwasm_etl_ray.stages.merge import finalize, fold_override, fold_partial
+from cosmwasm_etl_ray.stages.merge import fold_lww_arrow, fold_override, fold_partial_arrow
 
-KEYS = [("r0", "a"), ("r0", "b"), ("r1", "a"), ("r1", "c"), ("r2", "z")]
+# non-ASCII keys pin that the fold's key order (Arrow compares UTF-8
+# bytes) is code-point order: U+FFFD sorts below U+1F600 here, above
+# it in UTF-16
+KEYS = [
+    ("r0", "a"), ("r0", "b"), ("r1", "a"), ("r1", "c"), ("r2", "z"),
+    ("r0", "é"), ("é", "a"), ("中", "\ufffd"), ("中", "\U0001F600"), ("r1", "a\u00e9"),
+]
 
 
 def events_strategy(allow_empty_cols=False):
@@ -75,8 +82,21 @@ def serial_override(df: pd.DataFrame) -> dict:
     return state
 
 
+def lww(df: pd.DataFrame) -> pd.DataFrame:
+    """fold_lww_arrow on a frame (tombstones kept)."""
+    return fold_lww_arrow(pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
+
+
+def combine(df: pd.DataFrame) -> pd.DataFrame:
+    """The prep combiner on a frame whose rows are all valid."""
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    t = t.append_column("valid", pa.array(np.ones(len(df), bool)))
+    return fold_partial_arrow(t).drop_columns(["valid"]).to_pandas()
+
+
 def engine_state(df: pd.DataFrame, fold) -> dict:
-    out = finalize(fold(df))
+    out = fold(df)
+    out = out[out["op"] != "delete"]
     return {
         (r.repo, r.path): (
             r.commit,
@@ -94,21 +114,21 @@ def test_lww_fold_equals_serial_oracle(events):
     # serial oracle applies in (commit, input-order); make commits
     # unique per key so the tie-break question is separated out
     df = df.drop_duplicates(["repo", "path", "commit"], keep="last")
-    assert engine_state(df, fold_partial) == serial_lww(df)
+    assert engine_state(df, lww) == serial_lww(df)
 
 
 @settings(max_examples=200, deadline=None)
 @given(events_strategy(), st.integers(min_value=1, max_value=5))
 def test_lww_fold_split_invariance(events, n_splits):
-    """fold(concat(fold(chunk_i))) == fold(whole) for any split —
-    the combiner/salt-merge correctness property."""
+    """fold(concat(combine(chunk_i))) == fold(whole) for any split —
+    the combiner → merge correctness property."""
     df = to_df(events)
-    whole = engine_state(df, fold_partial)
+    whole = engine_state(df, lww)
     chunks = np.array_split(df, n_splits)
     partials = pd.concat(
-        [fold_partial(c) for c in chunks if len(c)], ignore_index=True
+        [combine(c.reset_index(drop=True)) for c in chunks if len(c)], ignore_index=True
     ) if len(df) else df
-    assert engine_state(partials, fold_partial) == whole
+    assert engine_state(partials, lww) == whole
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,37 +144,26 @@ def test_override_fold_equals_serial_oracle(events):
 @settings(max_examples=200, deadline=None)
 @given(events_strategy())
 def test_arrow_fold_equals_pandas_fold_any_sequence(events):
-    """The Arrow merge fold picks the same winners as fold_partial for
-    ARBITRARY sequences (including commit ties: later input position
-    wins in both)."""
-    import pyarrow as pa
-
-    from cosmwasm_etl_ray.stages.merge import fold_lww_arrow
-
+    """fold_lww_arrow picks the same winners, in the same key order, as
+    a pandas reference for ARBITRARY sequences (including commit ties:
+    later input position wins in both; Python orders str by code
+    point)."""
     df = to_df(events)
     if df.empty:
         return
     expect = (
-        fold_partial(df)
+        df.sort_values("commit", kind="stable")
+        .drop_duplicates(["repo", "path"], keep="last")
         .sort_values(["repo", "path"], kind="stable")
         .reset_index(drop=True)
     )
-    got = (
-        fold_lww_arrow(pa.Table.from_pandas(df, preserve_index=False))
-        .to_pandas()
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, expect[got.columns.tolist()])
+    pd.testing.assert_frame_equal(lww(df), expect)
 
 
 @settings(max_examples=100, deadline=None)
 @given(events_strategy(), st.integers(min_value=1, max_value=5))
 def test_arrow_fold_split_invariance(events, n_splits):
     """Arrow-fold(concat(Arrow-fold(chunk_i))) == Arrow-fold(whole)."""
-    import pyarrow as pa
-
-    from cosmwasm_etl_ray.stages.merge import fold_lww_arrow
-
     df = to_df(events)
     if df.empty:
         return

@@ -53,8 +53,6 @@ def _corrupt_partition(store) -> dict:
         i += 1
     bogus = df.iloc[[-1]].copy()
     bogus["repo"], bogus["path"], bogus["op"] = "ghost_repo", gpath, "update"
-    if "key64" in bogus.columns:
-        bogus["key64"] = h
     df = pd.concat([df, bogus], ignore_index=True)
     import pyarrow as pa
 

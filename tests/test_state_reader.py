@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -344,6 +345,52 @@ def test_quarantine_replay_and_bootstrap_on_delta(tmp_path, write_sparse_log, re
             want[cols].sort_values(["repo", "path"]).reset_index(drop=True),
         )
     assert max(len(c) for c in partition_chains(boot).values()) > 1
+
+
+def _parquet_files(store) -> set[str]:
+    return {
+        os.path.join(d, f)
+        for top in (store.state_dir, store.quarantine_dir)
+        for d, _, fs in os.walk(top) for f in fs if f.endswith(".parquet")
+    }
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_store_with_key64_column_resumes(logs, tmp_path):
+    """Stores written before the fold went exact-key carry the routing
+    hash ``key64`` (uint64, before ``pid``) in every state and
+    quarantine file. Such a store resumes: the next epoch appends links
+    to its bases, the one after folds the chains, no file written
+    after the resume has ``key64``, and the reads equal the serial
+    oracle without it."""
+    from cosmwasm_etl_ray.functions.hashing import stable_hash64
+
+    files = logs["sparse"]
+    store = StateStore(str(tmp_path / "old"))
+    replay_files(files[:3], store, SPARSE)
+    old = _parquet_files(store)
+    for f in old:
+        t = pq.read_table(f)
+        key = [pc.fill_null(t[c], "").to_numpy(zero_copy_only=False) for c in ("repo", "path")]
+        t = t.add_column(t.schema.get_field_index("pid"), "key64",
+                         pa.array(stable_hash64(*key), pa.uint64()))
+        pq.write_table(t, f)
+    assert store.latest_epoch() == 2
+
+    replay_files(files, store, SPARSE)
+    new = _parquet_files(store) - old
+    assert new and not [f for f in new if "key64" in pq.read_schema(f).names]
+    appended = store.manifest(3)["partitions"].values()
+    assert any(v.get("chain", [""])[0] in old for v in appended)
+    assert all("chain" not in v for v in store.manifest(4)["partitions"].values())
+    cols = ["repo", "path", "commit", "content"]
+    for e, upto in ((3, 4), (store.latest_epoch(), len(files))):
+        got = _rows(read_state(store, epoch=e))
+        assert "key64" not in got.columns
+        want = serial_oracle_replay(pd.concat([pd.read_parquet(f) for f in files[:upto]]))
+        pd.testing.assert_frame_equal(
+            got[cols], want[cols].sort_values(["repo", "path"]).reset_index(drop=True)
+        )
 
 
 # ---- lint: state files are read through the state layer only ----

@@ -11,6 +11,8 @@ import json
 import os
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -179,3 +181,36 @@ def test_epoch_merge_tasks_follow_cpus_not_partitions(log, tmp_path, monkeypatch
     assert 1 <= len(chain) <= G < 64
     assert prep and max(prep) <= G
     assert m["counts"]["touched_partitions"] == len(m["partitions"]) == 64
+
+
+def test_apply_epoch_bytes_follow_dataset_order_not_blocks(log, tmp_path, monkeypatch):
+    """A 2-file read_parquet Dataset whose second file adds ``mode``
+    for a disjoint pid set, both blocks in one prep task: five
+    apply_epoch runs write sha256-equal state and quarantine files, the
+    same files replay_files writes for the two files as one epoch — the
+    blocks go in Dataset order, and ``mode`` reaches only the pids of
+    the second file's rows."""
+    from cosmwasm_etl_ray.functions.hashing import assign_partition
+
+    def part(f: str, upper: bool) -> pa.Table:
+        t = pq.read_table(f)
+        key = [pc.fill_null(t[c], "").to_numpy(zero_copy_only=False) for c in ("repo", "path")]
+        return t.filter(pa.array((assign_partition(*key, P) >= P // 2) == upper))
+
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(part(log[0], False), a)
+    t = part(log[1], True)
+    pq.write_table(t.append_column("mode", pa.array(["text"] * t.num_rows)), b)
+
+    ref = StateStore(str(tmp_path / "ref"))
+    (m,) = replay_files([a, b], ref, CFG)
+    assert m["counts"]["quarantined"] > 0
+    want = _digest(ref)[0]
+    _set_cap(monkeypatch, 1)
+    for i in range(5):
+        store = StateStore(str(tmp_path / f"apply{i}"))
+        apply_epoch(ray.data.read_parquet([a, b]), store, 0, CFG, (a, b))
+        assert _digest(store)[0] == want, i
+    modes = {int(os.path.basename(f)[5:10]): "mode" in pq.read_schema(f).names
+             for f in glob.glob(os.path.join(store.state_dir, "epoch=0", "*.parquet"))}
+    assert modes == {p: p >= P // 2 for p in range(P)}
