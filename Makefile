@@ -1,6 +1,8 @@
 # Developer entry points — see CLAUDE.md / README.md.
 
 SF_DIR ?= /root/testdata/sf0.01
+# gate: Q="name ..." checks only those queries (default: all)
+Q ?=
 # bench-pairs: PAIRS parent/change pairs of one 1-CPU benchmark workload;
 # the parent is a git worktree at PARENT unless PARENT_DIR names a checkout
 PAIRS ?= 10
@@ -15,8 +17,8 @@ PARENT_DIR ?=
 test:            ## full pytest suite (Ray session-scoped, ~90s+)
 	python -m pytest tests/ -x -q
 
-gate:            ## ALL queries() vs their DuckDB oracles at $(SF_DIR)
-	python tools/check_correctness.py $(SF_DIR)
+gate:            ## queries() (all, or the names in Q) vs their DuckDB oracles at $(SF_DIR)
+	python tools/check_correctness.py $(SF_DIR) $(Q)
 
 bench:           ## headline replay + query sweep (one JSON line)
 	python bench.py

@@ -13,8 +13,9 @@ entry point you would hand to ``ray job submit`` on a real cluster:
     python -m cosmwasm_etl_ray.cli export     --store S --out DIR
     python -m cosmwasm_etl_ray.cli import-events --in DIR --out LOGDIR --format jsonl|csv
 
-``diagnose`` dry-runs a file range through the full parse+fold WITHOUT
-writing anything (/root/reference/cmd/parser/diagnose/main.go:96-120);
+``diagnose`` dry-runs a file range through the production replay into a
+temporary store that is removed on exit
+(/root/reference/cmd/parser/diagnose/main.go:96-120);
 ``repair`` diffs the store against a trusted snapshot and applies
 classified repair events (/root/reference/parser/checkpoint/builder.go).
 
@@ -130,39 +131,30 @@ def main(argv=None) -> int:
     from cosmwasm_etl_ray.state.metrics import store_metrics
 
     if args.cmd == "diagnose":
-        # dry run: full parse + fold over a file range, NOTHING written
-        import pyarrow.compute as pc
+        # dry run: the file range through the production replay into a
+        # temporary store, removed on exit
+        import tempfile
+
+        from cosmwasm_etl_ray.pipelines.replay import read_state, replay_files
 
         _init_ray()
-        import ray
-        import ray.data
-
-        from cosmwasm_etl_ray.pipelines.replay import quick_final_state
-        from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
-
         try:
             files = sorted(glob.glob(os.path.join(args.log_dir, "*.parquet")))
             files = files[args.start : args.end]
-            cfg = EngineConfig(num_partitions=args.partitions)
-            ds = ray.data.read_parquet(files)
-            flagged = ds.map_batches(
-                FlagAndPartition(cfg.num_partitions, ruleset=cfg.rules),
-                batch_format="pyarrow",
-            )
-            import pandas as pd
-
-            def vcount(t):
-                ok = int(pc.sum(t["valid"]).as_py() or 0)
-                return pd.DataFrame({"valid": [ok], "total": [t.num_rows]})
-
-            vc = flagged.map_batches(vcount, batch_format="pyarrow").to_pandas()
-            live = quick_final_state(ds, cfg).count()
+            with tempfile.TemporaryDirectory(prefix="diagnose_") as tmp:
+                dry = StateStore(tmp)
+                counts = [m["counts"] for m in replay_files(
+                    files, dry, EngineConfig(num_partitions=args.partitions)
+                )]
+                live = read_state(dry).count()
+            events = sum(c["input_events"] for c in counts)
+            quarantined = sum(c["quarantined"] for c in counts)
             print(json.dumps({
                 "files": len(files),
-                "events": int(vc["total"].sum()),
-                "valid": int(vc["valid"].sum()),
-                "would_quarantine": int(vc["total"].sum() - vc["valid"].sum()),
-                "live_keys": int(live),
+                "events": events,
+                "valid": events - quarantined,
+                "would_quarantine": quarantined,
+                "live_keys": live,
             }))
         finally:
             _shutdown_ray()

@@ -38,8 +38,7 @@ class EngineConfig:
     epoch_max_events: int = 2_000_000
 
     # minimum rows per prep task (large epochs raise it to keep
-    # ≤ 2×NCPU prep tasks per epoch) and the store-less fold's
-    # combiner batch
+    # ≤ 2×NCPU prep tasks per epoch)
     batch_size: int = 32_768
 
     # validation cadence (reference: every 1000 heights,

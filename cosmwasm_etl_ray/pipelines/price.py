@@ -24,7 +24,7 @@ Physical design (SURVEY §7.4 "hard parts"):
 - per-repo running sums are PARTITION-LOCAL (shard by repo, vectorized
   cumsum in commit order);
 - the cross-key denominator is ONE repo's curve — broadcast once per
-  epoch and binary-searched per batch (the in-memory as-of search,
+  epoch and binary-searched per repo shard (the in-memory as-of search,
   J5 / aggregator/task.go:558-578), never a shuffle;
 - the incremental task (PriceTask) runs under an epoch barrier: it
   joins each epoch's events against the PRIOR epoch's replayed state
@@ -48,7 +48,7 @@ import ray
 import ray.data
 
 from cosmwasm_etl_ray.config import EngineConfig
-from cosmwasm_etl_ray.functions.agg import grouped_agg, sharded_map_groups
+from cosmwasm_etl_ray.functions.agg import grouped_agg
 
 BASE_REPO = "mono"
 MAX_HOPS = 4
@@ -69,40 +69,14 @@ def _event_lengths(t: pa.Table) -> pa.Table:
     )
 
 
-def repo_size_stream(
-    changes: "ray.data.Dataset", shards: int = 32
-) -> "ray.data.Dataset":
-    """(repo, commit, repo_chars): each repo's running live-char total
-    after every one of its events, in commit order. ONE shuffle: shard
-    by repo; within a shard both the per-(repo,path) previous-length
-    lag and the per-repo cumulative sum are vectorized groupby
-    transforms."""
-    ev = changes.map_batches(_event_lengths, batch_format="pyarrow")
-
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["repo", "path", "commit"], kind="stable")
-        prev = (
-            g.groupby(["repo", "path"], sort=False)["new_len"].shift(1).fillna(0)
-        )
-        g["delta"] = g["new_len"] - prev.astype("int64")
-        g = g.sort_values(["repo", "commit"], kind="stable")
-        g["repo_chars"] = (
-            g.groupby("repo", sort=False)["delta"].cumsum().astype("int64")
-        )
-        return g[["repo", "commit", "repo_chars"]]
-
-    return sharded_map_groups(ev, ["repo"], per_shard, shards=shards)
-
-
 def relsize_asof(
     df: pd.DataFrame, commits: np.ndarray, chars: np.ndarray
 ) -> pd.DataFrame:
-    """As-of rel_size against the base curve — THE shared kernel for
-    all three shapes (streaming RelSize, incremental RelSizeEpoch, the
-    direct exchange's part write), so a boundary-semantics change
-    (side='right', the idx>=0 / chars>0 liquidity cutoffs) happens in
-    exactly one place. Rows before the curve starts or at a dry base
-    are dropped (no price is definable)."""
+    """As-of rel_size against the base curve, for PriceTask's part
+    write (pipelines/price_direct): the boundary semantics are
+    side='right' and the idx>=0 / chars>0 liquidity cutoffs. Rows
+    before the curve starts or at a dry base are dropped (no price is
+    definable)."""
     idx = (
         np.searchsorted(commits, df["commit"].to_numpy().astype("U"), side="right")
         - 1
@@ -113,37 +87,6 @@ def relsize_asof(
     df = df[b > 0].copy()
     df["rel_size"] = df["repo_chars"].to_numpy() / b[b > 0]
     return df[["repo", "commit", "repo_chars", "rel_size"]]
-
-
-def rel_size_stream(
-    changes: "ray.data.Dataset", base: str = BASE_REPO, shards: int = 32
-) -> "ray.data.Dataset":
-    """Direct-price analogue: every event's repo_chars divided by the
-    base repo's chars as-of that commit. The base curve (one repo's
-    series) is broadcast once; each batch binary-searches it.
-
-    ``sizes`` is consumed twice (base-curve extraction + the final
-    map), so it is materialized into the object store once — without
-    this the whole upstream shuffle would re-execute for the second
-    consumer."""
-    sizes = repo_size_stream(changes, shards=shards).materialize()
-    base_df = (
-        sizes.filter(expr=f"repo == '{base}'")
-        .to_pandas()
-        .sort_values("commit", kind="stable")
-    )
-    curve_ref = ray.put(
-        (base_df["commit"].to_numpy().astype("U"), base_df["repo_chars"].to_numpy())
-    )
-
-    class RelSize:
-        def __init__(self):
-            self.commits, self.chars = ray.get(curve_ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            return relsize_asof(df, self.commits, self.chars)
-
-    return sizes.map_batches(RelSize, batch_format="pandas", concurrency=(1, 8))
 
 
 # --------------------------------------------------------------------- router

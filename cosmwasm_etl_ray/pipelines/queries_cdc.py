@@ -14,6 +14,13 @@ layer (/root/reference/aggregator/task.go,
 - cdc_history       → running cumulative per-repo prefix sums
                       (lp_history analogue, A2)
 - cdc_first_seen    → first event per key (DISTINCT ON analogue, A9)
+
+Every row that needs replayed state reads a store written by
+``replay_files`` — the path the CLI, ``tail`` and the benchmark run —
+never a store-less re-fold: ``_two_epoch_store`` (cut at the
+time-travel commit; its epoch 0 is the as-of state, its latest the
+final state) and ``_delta_store`` (small late epochs that append chain
+links, with gc midway). Both come from one builder, ``_replayed_store``.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from cosmwasm_etl_ray.config import EngineConfig
 from cosmwasm_etl_ray.functions.agg import grouped_agg, stats_with_distinct
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
 from cosmwasm_etl_ray.functions.hashing import sha256_hex
-from cosmwasm_etl_ray.pipelines.replay import quick_final_state
+from cosmwasm_etl_ray.pipelines.replay import read_state
 from cosmwasm_etl_ray.sources.changes import CHANGES_CTE, changes_from_documents
 
 _CFG = EngineConfig(num_partitions=32)
@@ -37,18 +44,18 @@ _WINDOW = 1_000_000  # commit-window size (the 30-min-window analogue)
 
 
 def _final_state(sf_dir: str) -> "ray.data.Dataset":
-    return quick_final_state(changes_from_documents(sf_dir), _CFG)
+    return read_state(_two_epoch_store(sf_dir))
+
+
+def _hash_content(t: pa.Table) -> pa.Table:
+    t = t.append_column("content_sha256", sha256_hex(t["content"]))
+    return t.select(["repo", "path", "commit", "lang", "content_sha256"])
 
 
 def cdc_final_state(sf_dir: str) -> "ray.data.Dataset":
     """Full replay; content replaced by its sha256 (the per-row
     invariant from BASELINE.json input_hint)."""
-
-    def hash_content(t: pa.Table) -> pa.Table:
-        t = t.append_column("content_sha256", sha256_hex(t["content"]))
-        return t.select(["repo", "path", "commit", "lang", "content_sha256"])
-
-    return _final_state(sf_dir).map_batches(hash_content, batch_format="pyarrow")
+    return _final_state(sf_dir).map_batches(_hash_content, batch_format="pyarrow")
 
 
 def cdc_live_counts(sf_dir: str) -> pd.DataFrame:
@@ -155,32 +162,30 @@ _SNAPSHOT_COMMIT = "0002000000"  # time-travel point: end of window 2
 
 
 def cdc_state_at(sf_dir: str) -> "ray.data.Dataset":
-    """Time-travel: final state as of a FIXED commit — replay with a
-    sequence-number upper bound (the liquidity-at-window-end / A6
-    as-of-state pattern; in the store path this is read_state(epoch))."""
-
-    def bounded(t: pa.Table) -> pa.Table:
-        return t.filter(pc.less_equal(t["commit"], pa.scalar(_SNAPSHOT_COMMIT)))
-
-    changes = changes_from_documents(sf_dir).map_batches(
-        bounded, batch_format="pyarrow"
-    )
-    state = quick_final_state(changes, _CFG)
+    """Time-travel: final state as of a FIXED commit — read_state at
+    the epoch that ends there (the liquidity-at-window-end / A6
+    as-of-state pattern)."""
 
     def select(df):
         return df[["repo", "path", "commit", "lang"]]
 
-    return state.map_batches(select, batch_format="pandas")
+    return read_state(_two_epoch_store(sf_dir), 0).map_batches(
+        select, batch_format="pandas"
+    )
 
 
 def cdc_rel_size(sf_dir: str) -> "ray.data.Dataset":
     """Direct price (A7): per event, the repo's running live-char total
     and its ratio to the base repo's total as-of that commit — the
     cross-key as-of read in commit order
-    (/root/reference/pkg/dex/price/price.go:125-175)."""
-    from cosmwasm_etl_ray.pipelines.price import rel_size_stream
+    (/root/reference/pkg/dex/price/price.go:125-175). The incremental
+    PriceTask over the two-epoch store, so the as-of read crosses an
+    epoch boundary through the task's carry."""
+    from cosmwasm_etl_ray.pipelines.price import BASE_REPO, PriceTask
 
-    return rel_size_stream(changes_from_documents(sf_dir))
+    task = PriceTask(_two_epoch_store(sf_dir), _CFG, base=BASE_REPO)
+    task.run()
+    return task.view()
 
 
 def cdc_routes(sf_dir: str) -> pd.DataFrame:
@@ -217,18 +222,11 @@ def cdc_state_join_events(sf_dir: str) -> "ray.data.Dataset":
     Datasets; one bucketed hash join, left-preserving."""
     from cosmwasm_etl_ray.functions.joins import hash_join
 
-    changes = changes_from_documents(sf_dir)
-
-    def bounded(t: pa.Table) -> pa.Table:
-        return t.filter(pc.less_equal(t["commit"], pa.scalar(_SNAPSHOT_COMMIT)))
-
     def later(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t["commit"], pa.scalar(_SNAPSHOT_COMMIT)))
         return t.select(["repo", "path", "commit", "op"])
 
-    state = quick_final_state(
-        changes.map_batches(bounded, batch_format="pyarrow"), _CFG
-    ).map_batches(
+    state = read_state(_two_epoch_store(sf_dir), 0).map_batches(
         lambda t: pa.table(
             {"repo": t["repo"], "path": t["path"], "prior_commit": t["commit"]}
         ),
@@ -236,7 +234,7 @@ def cdc_state_join_events(sf_dir: str) -> "ray.data.Dataset":
     )
 
     joined = hash_join(
-        changes.map_batches(later, batch_format="pyarrow"),
+        changes_from_documents(sf_dir).map_batches(later, batch_format="pyarrow"),
         state,
         on=["repo", "path"],
         how="left",
@@ -497,7 +495,8 @@ GROUP BY wins.repo, wins.win, wins.n_events
 """
 
 
-_DIFF_STORE_CACHE: dict[str, object] = {}
+_STORES: dict[tuple[str, str], object] = {}
+_GATE_MAX_EVENTS = 2_000_000
 
 
 def _tmp_store_root(prefix: str) -> str:
@@ -513,33 +512,60 @@ def _tmp_store_root(prefix: str) -> str:
     return root
 
 
-def _two_epoch_store(sf_dir: str):
-    """A disk store replayed in TWO epochs split at the time-travel
-    commit (built once per process) — the epoch-diff substrate."""
-    from cosmwasm_etl_ray.pipelines.replay import apply_epoch
+def _replayed_store(sf_dir: str, name: str, cuts, gc_after: int | None = None):
+    """The gate's state store ``name`` for ``sf_dir``, built once per
+    process by the production replay: the commit-sorted change stream
+    is written as change-log files split at the row offsets
+    ``cuts(stream)`` returns, and ``replay_files`` applies one file per
+    epoch. With ``gc_after=k`` it replays the first k files, runs
+    gc_state, and resumes over the rest."""
+    import dataclasses
+    import os
+
+    import pyarrow.parquet as pq
+
+    from cosmwasm_etl_ray.pipelines.replay import replay_files
+    from cosmwasm_etl_ray.state.gc import gc_state
     from cosmwasm_etl_ray.state.manifest import StateStore
 
-    if sf_dir in _DIFF_STORE_CACHE:
-        return _DIFF_STORE_CACHE[sf_dir]
-    store = StateStore(_tmp_store_root("cdc_diff_store_"))
-    changes = changes_from_documents(sf_dir)
-    snap = pa.scalar(_SNAPSHOT_COMMIT)
-    apply_epoch(
-        changes.map_batches(
-            lambda t: t.filter(pc.less_equal(t["commit"], snap)),
-            batch_format="pyarrow",
-        ),
-        store, 0, _CFG, ("", _SNAPSHOT_COMMIT),
-    )
-    apply_epoch(
-        changes.map_batches(
-            lambda t: t.filter(pc.greater(t["commit"], snap)),
-            batch_format="pyarrow",
-        ),
-        store, 1, _CFG, (_SNAPSHOT_COMMIT, "zzz"),
-    )
-    _DIFF_STORE_CACHE[sf_dir] = store
+    if (name, sf_dir) in _STORES:
+        return _STORES[name, sf_dir]
+    # gate-scale only: the whole change stream is sorted on the driver
+    # (≤ 50 events per document, the CHANGES_CTE expansion bound)
+    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+    if n_docs * 50 > _GATE_MAX_EVENTS:
+        raise ValueError(
+            f"the {name} gate store would sort up to {n_docs * 50} change rows "
+            f"on the driver; it is a gate fixture for ≤ {_GATE_MAX_EVENTS} events"
+        )
+    root = _tmp_store_root(f"cdc_{name}_store_")
+    stream = pa.concat_tables(
+        ray.get(changes_from_documents(sf_dir).to_arrow_refs())
+    ).sort_by("commit")
+    bounds = [0, *cuts(stream), stream.num_rows]
+    files = []
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        files.append(os.path.join(root, f"changes-{i:03d}.parquet"))
+        pq.write_table(stream.slice(lo, hi - lo), files[-1])
+    cfg = dataclasses.replace(_CFG, epoch_max_events=1)  # one file per epoch
+    store = StateStore(os.path.join(root, "store"))
+    if gc_after is not None:
+        replay_files(files[:gc_after], store, cfg)
+        gc_state(store)
+    replay_files(files, store, cfg)
+    _STORES[name, sf_dir] = store
     return store
+
+
+def _two_epoch_store(sf_dir: str):
+    """Two epochs split at the time-travel commit: epoch 0 is the
+    state as of ``_SNAPSHOT_COMMIT``, the latest the final state (LWW
+    is epoch-split invariant). Every dense gate row reads it."""
+    snap = pa.scalar(_SNAPSHOT_COMMIT)
+    return _replayed_store(
+        sf_dir, "two_epoch",
+        lambda t: [pc.sum(pc.less_equal(t["commit"], snap)).as_py()],
+    )
 
 
 def cdc_epoch_diff(sf_dir: str) -> "ray.data.Dataset":
@@ -583,15 +609,6 @@ WHERE s1.path IS NULL OR s2.path IS NULL OR s1."commit" <> s2."commit"
 _LOOKUP_K = 16
 
 
-def _disk_store(sf_dir: str):
-    """A replayed DISK store per sf_dir: the lookup serving path needs
-    real partition files and a manifest, not the storeless quick
-    replay. Shares the two-epoch diff store (its latest manifest IS
-    the full final state — LWW is epoch-split invariant), so each gate
-    process builds one store, not two."""
-    return _two_epoch_store(sf_dir)
-
-
 def cdc_state_lookup(sf_dir: str) -> "ray.data.Dataset":
     """Point lookups on the replayed state store, pid-pruned: the key
     set (first K distinct keys in (repo, path) order, found by a
@@ -602,8 +619,6 @@ def cdc_state_lookup(sf_dir: str) -> "ray.data.Dataset":
     (/root/reference/parser/dex/repo/repository.go:238-259), with
     partition pruning standing in for the B-tree."""
     from cosmwasm_etl_ray.pipelines.replay import lookup_state
-
-    store = _disk_store(sf_dir)
 
     def local_topk(df: "pd.DataFrame") -> "pd.DataFrame":
         return (
@@ -624,13 +639,8 @@ def cdc_state_lookup(sf_dir: str) -> "ray.data.Dataset":
         .head(_LOOKUP_K)
         .reset_index(drop=True)
     )
-    ds, _files = lookup_state(store, keys, _CFG.num_partitions)
-
-    def hash_content(t: pa.Table) -> pa.Table:
-        t = t.append_column("content_sha256", sha256_hex(t["content"]))
-        return t.select(["repo", "path", "commit", "lang", "content_sha256"])
-
-    return ds.map_batches(hash_content, batch_format="pyarrow")
+    ds, _files = lookup_state(_two_epoch_store(sf_dir), keys, _CFG.num_partitions)
+    return ds.map_batches(_hash_content, batch_format="pyarrow")
 
 
 ORACLE_SQL["cdc_state_lookup"] = f"""
@@ -698,60 +708,22 @@ WHERE c."commit" > '{_SNAPSHOT_COMMIT}'
 """
 
 
-_DELTA_STORE_CACHE: dict[str, object] = {}
-_DELTA_GATE_MAX_EVENTS = 2_000_000
-
-
 def _delta_store(sf_dir: str):
-    """A store whose final read folds appended links, replayed through
-    the production direct-exchange path: one large first epoch writes
-    the bases, then four epochs of ⅛ as many events as there are keys,
-    which the write policy (stages/merge.appends) appends as links
-    until a chain reaches its bounds. gc_state runs midway and the
-    replay resumes — the chain lifecycle under the oracle gate. Built
-    once per process (the epoch-diff store discipline)."""
-    import dataclasses
-    import os as _os
+    """A store whose final read folds appended links: one large first
+    epoch writes the bases, then four epochs of ⅛ as many events as
+    there are keys, which the write policy (stages/merge.appends)
+    appends as links until a chain reaches its bounds. gc_state runs
+    after the third file and the replay resumes — the chain lifecycle
+    under the oracle gate."""
 
-    import pyarrow.parquet as _pq
+    def cuts(t: pa.Table) -> list[int]:
+        inserts = pc.sum(pc.equal(t["op"], pa.scalar("insert"))).as_py() or 0
+        small = max(1, inserts // 8)  # one insert per key
+        return [t.num_rows - k * small for k in (4, 3, 2, 1)]
 
-    from cosmwasm_etl_ray.pipelines.replay import replay_files
-    from cosmwasm_etl_ray.state.gc import gc_state
-    from cosmwasm_etl_ray.state.manifest import StateStore
-
-    if sf_dir in _DELTA_STORE_CACHE:
-        return _DELTA_STORE_CACHE[sf_dir]
-    # gate-scale only: the whole change stream is sorted on the driver
-    # (≤ 50 events per document, the CHANGES_CTE expansion bound)
-    n_docs = _pq.read_metadata(_os.path.join(sf_dir, "documents.parquet")).num_rows
-    if n_docs * 50 > _DELTA_GATE_MAX_EVENTS:
-        raise ValueError(
-            f"_delta_store would sort up to {n_docs * 50} change rows on the "
-            f"driver; it is a gate fixture for ≤ {_DELTA_GATE_MAX_EVENTS} events"
-        )
-    root = _tmp_store_root("cdc_delta_store_")
-    df = (
-        changes_from_documents(sf_dir)
-        .to_pandas()
-        .sort_values("commit", kind="stable")
-        .reset_index(drop=True)
-    )
-    n = len(df)
-    small = max(1, int((df["op"] == "insert").sum()) // 8)  # one insert per key
-    cuts = [0, *(n - k * small for k in (4, 3, 2, 1)), n]
-    files = []
-    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        f = _os.path.join(root, f"changes-{i:03d}.parquet")
-        _pq.write_table(pa.Table.from_pandas(df.iloc[lo:hi], preserve_index=False), f)
-        files.append(f)
-    cfg = dataclasses.replace(_CFG, epoch_max_events=small)
-    store = StateStore(_os.path.join(root, "store"))
-    replay_files(files[:3], store, cfg)
-    gc_state(store)
-    replay_files(files, store, cfg)
+    store = _replayed_store(sf_dir, "delta", cuts, gc_after=3)
     if not any("chain" in v for v in store.manifest(store.latest_epoch())["partitions"].values()):
         raise RuntimeError("the gate's chain store holds no appended link")
-    _DELTA_STORE_CACHE[sf_dir] = store
     return store
 
 
@@ -760,14 +732,8 @@ def cdc_final_state_delta(sf_dir: str) -> "ray.data.Dataset":
     epoch-split replay -> gc -> resume -> chain-folding read_state.
     Same oracle as cdc_final_state — appended links must hash-match
     the one-shot fold bit-for-bit."""
-    from cosmwasm_etl_ray.pipelines.replay import read_state
-
-    def hash_content(t: pa.Table) -> pa.Table:
-        t = t.append_column("content_sha256", sha256_hex(t["content"]))
-        return t.select(["repo", "path", "commit", "lang", "content_sha256"])
-
     return read_state(_delta_store(sf_dir)).map_batches(
-        hash_content, batch_format="pyarrow"
+        _hash_content, batch_format="pyarrow"
     )
 
 

@@ -60,8 +60,6 @@ from cosmwasm_etl_ray.functions.hashing import split_table_by_shard
 from cosmwasm_etl_ray.stages.merge import (
     OP_COL,
     MergeWithState,
-    fold_lww_arrow,
-    fold_override,
     fold_partial_arrow,
 )
 from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
@@ -569,43 +567,6 @@ def epoch_diff(store, e_old: int, e_new: int) -> "ray.data.Dataset":
         _diff_live,
         columns=["repo", "path", "commit", OP_COL],
         empty=_DIFF_SCHEMA.empty_table(),
-    )
-
-
-def quick_final_state(
-    changes: "ray.data.Dataset", cfg: EngineConfig = DEFAULT_CONFIG
-) -> "ray.data.Dataset":
-    """Single-shot replay with no persistent store (for oracle-checked
-    queries and tests): same operators, minus the sink. The final fold
-    runs in Arrow (override mode is the pandas exception, like the
-    merge stage)."""
-    flagged = changes.map_batches(
-        FlagAndPartition(cfg.num_partitions, ruleset=cfg.rules),
-        batch_format="pyarrow",
-    )
-    if cfg.override_coalesce:
-
-        def fold_and_finalize_pd(g: pd.DataFrame) -> pd.DataFrame:
-            g = g[g["valid"]].drop(columns=["valid"])
-            f = fold_override(g)
-            return f[f[OP_COL] != "delete"].drop(columns=["pid"])
-
-        return flagged.groupby("pid").map_groups(
-            fold_and_finalize_pd, batch_format="pandas"
-        )
-
-    flagged = flagged.map_batches(
-        fold_partial_arrow, batch_format="pyarrow", batch_size=cfg.batch_size
-    )
-
-    def fold_and_finalize(g: "pa.Table") -> "pa.Table":
-        g = g.filter(g["valid"].combine_chunks()).drop_columns(["valid"])
-        f = fold_lww_arrow(g)
-        f = f.filter(pc.not_equal(f[OP_COL], pa.scalar("delete")))
-        return f.drop_columns(["pid"])
-
-    return flagged.groupby("pid").map_groups(
-        fold_and_finalize, batch_format="pyarrow"
     )
 
 

@@ -10,9 +10,16 @@ reference deriving task progress from its dest tables,
 
 from __future__ import annotations
 
+import pyarrow.parquet as pq
+
+from cosmwasm_etl_ray.state.manifest import entry_chain, entry_chain_rows
+
 
 def store_metrics(store) -> dict:
-    """Roll up manifests → totals, per-epoch rates, partition stats."""
+    """Roll up manifests → totals, per-epoch rates, partition stats.
+    ``state_rows`` and the partition sizes count every file of each
+    pid's chain; ``state_live_rows`` is None while any pid holds an
+    appended link."""
     epochs = store.committed_epochs()
     per_epoch = []
     total_applied = 0
@@ -38,12 +45,20 @@ def store_metrics(store) -> dict:
     partitions = {}
     live_rows = rows = 0
     if latest is not None:
-        parts = store.manifest(latest)["partitions"]
-        rows = sum(p["rows"] for p in parts.values())
-        live_rows = sum(p.get("live_rows", 0) for p in parts.values())
-        sizes = sorted(p["rows"] for p in parts.values())
+        parts = store.manifest(latest)["partitions"].values()
+        # a pid's rows are its whole chain's (a link's own entry counts
+        # only its file; a format-1 link recorded no chain rows, so its
+        # files' footers are read), and no count of the chain's live
+        # rows exists until a fold writes a base
+        sizes = sorted(
+            sum(entry_chain_rows(p) or [pq.read_metadata(f).num_rows for f in entry_chain(p)])
+            for p in parts
+        )
+        rows = sum(sizes)
+        linked = any(len(entry_chain(p)) > 1 for p in parts)
+        live_rows = None if linked else sum(p.get("live_rows", 0) for p in parts)
         partitions = {
-            "count": len(parts),
+            "count": len(sizes),
             "rows_min": sizes[0] if sizes else 0,
             "rows_max": sizes[-1] if sizes else 0,
             "rows_p50": sizes[len(sizes) // 2] if sizes else 0,

@@ -1,6 +1,7 @@
 """CLI entry points (subprocess — each owns its Ray session) + metrics."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -76,12 +77,25 @@ def test_cli_diagnose_dry_run_and_repair(tmp_path):
         GeneratorConfig(seed=93, n_keys=150, n_events=8_000, events_per_file=2_000,
                         malformed_frac=0.01, evolve_at_frac=None),
     )
-    # diagnose is a pure dry run: full parse + fold, nothing written
+    # diagnose is a dry run: the production replay into a temporary
+    # store, which is gone when the command exits
+    import glob
+    import tempfile
+
+    import pandas as pd
+
+    from cosmwasm_etl_ray.pipelines.replay import serial_oracle_replay
+
+    dry_dirs = os.path.join(tempfile.gettempdir(), "diagnose_*")
+    before = set(glob.glob(dry_dirs))
     d = _run_cli("diagnose", "--log-dir", str(tmp_path / "log"),
                  "--start", "0", "--end", "2", "--partitions", "4")
     assert d["files"] == 2 and d["events"] == 4_000
     assert d["valid"] + d["would_quarantine"] == 4_000
-    assert 0 < d["live_keys"] <= 150
+    assert d["would_quarantine"] > 0  # malformed_frac=0.01
+    raw = pd.concat([pd.read_parquet(f) for f in sorted(log["files"])[:2]], ignore_index=True)
+    assert d["live_keys"] == len(serial_oracle_replay(raw))
+    assert set(glob.glob(dry_dirs)) <= before
     assert not (tmp_path / "store").exists()
 
     # replay, snapshot, corrupt nothing: repair reports a clean store

@@ -120,6 +120,29 @@ def test_delta_lookup_prunes_to_probed_chains(stores):
     assert len(files) < len(all_files)
 
 
+def test_store_metrics_count_whole_chains(stores):
+    """A link's manifest entry counts only its own file: state_rows and
+    the partition sizes sum every file of each pid's chain, and
+    state_live_rows is unknown (None) while any pid holds a link."""
+    import pyarrow.parquet as pq
+
+    from cosmwasm_etl_ray.state.metrics import store_metrics
+
+    full, delta = stores
+    chains = partition_chains(delta)
+    assert max(len(c) for c in chains.values()) > 1
+    sizes = sorted(sum(pq.read_metadata(f).num_rows for f in c) for c in chains.values())
+    m = store_metrics(delta)
+    assert m["state_rows"] == sum(sizes)
+    assert m["state_live_rows"] is None
+    p = m["partitions"]
+    assert (p["count"], p["rows_min"], p["rows_max"], p["rows_p50"]) == (
+        len(sizes), sizes[0], sizes[-1], sizes[len(sizes) // 2]
+    )
+    # an all-bases store still reports its live rows exactly
+    assert store_metrics(full)["state_live_rows"] == len(_final(full))
+
+
 def _state_files(store) -> list[str]:
     return sorted(glob.glob(os.path.join(store.state_dir, "**/*.parquet"), recursive=True))
 

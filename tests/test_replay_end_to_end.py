@@ -18,12 +18,10 @@ from cosmwasm_etl_ray.config import EngineConfig, GeneratorConfig
 from cosmwasm_etl_ray.pipelines.replay import (
     apply_epoch,
     plan_epochs,
-    quick_final_state,
     read_state,
     replay_files,
     serial_oracle_replay,
 )
-from cosmwasm_etl_ray.sources.changes import changes_from_documents
 from cosmwasm_etl_ray.sources.generator import generate_change_stream
 from cosmwasm_etl_ray.state.manifest import StateStore
 
@@ -161,21 +159,6 @@ def test_schema_evolution_null_backfill(tmp_path):
         for r in state.itertuples()
     }
     assert o_mode == e_mode
-
-
-def test_quick_final_state_matches_store_replay(change_log, sf_dir):
-    quick = (
-        quick_final_state(changes_from_documents(sf_dir), CFG)
-        .to_pandas()
-        .sort_values(["repo", "path"])
-        .reset_index(drop=True)
-    )
-    oracle = serial_oracle_replay(changes_from_documents(sf_dir).to_pandas())
-    oracle = oracle.sort_values(["repo", "path"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        quick[["repo", "path", "commit", "content"]],
-        oracle[["repo", "path", "commit", "content"]],
-    )
 
 
 def test_empty_epoch_commits_cleanly(tmp_path):

@@ -7,11 +7,9 @@ import ray.data
 
 from cosmwasm_etl_ray.config import EngineConfig, GeneratorConfig
 from cosmwasm_etl_ray.pipelines.replay import (
-    quick_final_state,
     read_state,
     replay_files,
 )
-from cosmwasm_etl_ray.sources.changes import changes_from_documents
 from cosmwasm_etl_ray.sources.generator import generate_change_stream
 from cosmwasm_etl_ray.stages.validate import snapshot_state, validate_store
 from cosmwasm_etl_ray.state.manifest import StateStore
@@ -118,22 +116,18 @@ def test_versioned_normalizer_dispatch_by_commit_range():
     assert vn(t.slice(0, 0)).schema == t.schema
 
 
-def test_final_state_invariant_across_partition_counts(sf_dir):
-    """Determinism across parallelism levels: the final state must be
-    identical for any num_partitions (SURVEY §7.4)."""
-    import pandas as pd
-    from cosmwasm_etl_ray.sources.changes import changes_from_documents
+def test_final_state_invariant_across_partition_counts(tmp_path):
+    """Determinism across parallelism levels: the replayed final state
+    must be identical for any num_partitions (SURVEY §7.4)."""
+    import dataclasses
 
+    log = _log(tmp_path)
     frames = []
     for p in (4, 32):
-        cfg = EngineConfig(num_partitions=p)
-        f = (
-            quick_final_state(changes_from_documents(sf_dir), cfg)
-            .to_pandas()
-            .sort_values(["repo", "path"])
-            .reset_index(drop=True)
-        )
-        frames.append(f[["repo", "path", "commit", "lang", "content"]])
+        store = StateStore(str(tmp_path / f"store-p{p}"))
+        replay_files(log["files"], store, dataclasses.replace(CFG, num_partitions=p))
+        f = read_state(store).to_pandas()
+        frames.append(f[sorted(f.columns)].sort_values(["repo", "path"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(frames[0], frames[1])
 
 
