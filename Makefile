@@ -12,7 +12,7 @@ SECONDS ?= 40
 PARENT ?= HEAD~1
 PARENT_DIR ?=
 
-.PHONY: test gate bench bench-smoke bench-pairs scaling soak-neardup
+.PHONY: test gate bench bench-smoke bench-pairs bench-table scaling soak-neardup
 
 test:            ## full pytest suite (Ray session-scoped, ~90s+)
 	python -m pytest tests/ -x -q
@@ -42,6 +42,9 @@ bench-pairs:     ## PAIRS interleaved parent/change runs, one JSON line each in 
 	  done; \
 	done; \
 	[ -n "$(PARENT_DIR)" ] || git worktree remove --force $$wt
+
+bench-table:     ## the pairs of WORKLOAD/SEED as a table: medians, quartiles, wins, gain rule, bound flags
+	python tools/pairs_table.py $(WORKLOAD) $(SEED)
 
 scaling:         ## 8 vs 32 CPUs + scaling efficiency
 	python bench.py --scaling

@@ -127,9 +127,9 @@ def repo_lang_graph(state: "ray.data.Dataset") -> tuple[pd.DataFrame, pd.DataFra
     return edges, sizes
 
 
-def _lang_counts(pid: int, t: pa.Table) -> pa.Table:
-    """One pid's live (repo, lang, n) counts — partials summed by
-    repo_lang_edges (a (repo, lang) pair spans pids)."""
+def _lang_counts(t: pa.Table) -> pa.Table:
+    """One reader task's live (repo, lang, n) counts — partials summed
+    by repo_lang_edges (a (repo, lang) pair spans pids and tasks)."""
     t = t.filter(pc.invert(pc.equal(t["op"], pa.scalar("delete"))))
     n = t.group_by(["repo", "lang"]).aggregate([([], "count_all")])
     return n.select(["repo", "lang", "count_all"]).rename_columns(["repo", "lang", "n"])
@@ -143,9 +143,9 @@ def repo_lang_edges(store, epoch: int) -> pd.DataFrame:
     'rebuild only on growth' guard more expensive than what it guards.
     Each reader task returns its pids' partial counts (token
     cardinality); the driver sums them."""
-    from cosmwasm_etl_ray.state.delta import map_chains, partition_chains
+    from cosmwasm_etl_ray.state.delta import map_chains, partition_slices
 
-    chains = partition_chains(store, epoch)
+    chains = partition_slices(store, epoch)
     refs = map_chains(
         {p: (c,) for p, c in chains.items()}, _lang_counts, columns=["repo", "lang", "op"]
     )

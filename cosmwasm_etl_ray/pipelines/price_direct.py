@@ -44,6 +44,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -83,25 +84,25 @@ def _price_prep_shard(path: str, row_groups: list[int], P: int):
     return _split_table_by_shard(t, pid, P)
 
 
-def _prior_lengths(pid: int, t: pa.Table) -> pa.Table:
-    """One pid's folded prior state as (pid, repo, path, state_len) —
-    the state side of the join, computed inside the state reader."""
+def _prior_lengths(t: pa.Table) -> pa.Table:
+    """One reader task's folded prior state as (pid, repo, path,
+    state_len) — the state side of the join, computed inside the state
+    reader; the pid comes from the state's ``pid`` column."""
     from cosmwasm_etl_ray.pipelines.price import _state_lengths
 
-    st = _state_lengths(t)
-    return st.append_column("pid", pa.array(np.full(st.num_rows, pid, np.int32)))
+    return _state_lengths(t).append_column("pid", pc.cast(t["pid"], pa.int32()))
 
 
 def _prior_refs(store, epoch: int, pids: list[int]) -> dict:
     """pid → ref of the reader table holding that pid's prior lengths
     (state as of epoch-1), for the pids with events this epoch."""
-    from cosmwasm_etl_ray.state.delta import map_chains, partition_chains
+    from cosmwasm_etl_ray.state.delta import map_chains, partition_slices
 
-    chains = partition_chains(store, epoch - 1) if epoch > 0 else {}
+    chains = partition_slices(store, epoch - 1) if epoch > 0 else {}
     refs = map_chains(
         {p: (chains[p],) for p in pids if p in chains},
         _prior_lengths,
-        columns=["repo", "path", "content", "op"],
+        columns=["repo", "path", "content", "op", "pid"],
     )
     return {p: ref for group, ref in refs for p in group}
 
@@ -111,8 +112,6 @@ def _price_join_pid(S: int, pid: int, state: pa.Table | None, *event_splits):
     holding this pid's prior lengths (no state shuffle — the replay
     already partitioned state by the join key), previous-length
     resolution, delta rows split by repo shard."""
-    import pyarrow.compute as pc
-
     tabs = [t for t in event_splits if t is not None]
     if not tabs:
         # num_returns=1 means a BARE value, not a 1-tuple — the same
@@ -151,8 +150,6 @@ def _price_cumsum_shard(carry_chars: dict, *delta_splits):
     (valid because _valid_events pins commits to digit strings; uniform
     width ⇒ numeric order == string order; non-uniform widths fall
     back to an object-key lexsort — same order, slower)."""
-    import pyarrow.compute as pc
-
     tabs = [t for t in delta_splits if t is not None]
     if not tabs:
         return None, None

@@ -16,18 +16,21 @@ replay, bootstrap) both run it:
         read → FlagAndPartition → fold_partial_arrow (COMBINER)
              → split by pid-group                # num_returns=G
     chain task per (epoch, pid-group):
-        split the group's slices by pid (block order kept) → one
-        MergeWithState call per pid present (quarantine side output
-        + append the folded rows as a chain link, or fold them with
-        the pid's chain into a new base + atomic part-file write);
-        the ObjectRef of (epoch-1, group) is an argument, so epochs
-        pipeline per group
+        concat the group's slices (block order kept) → ONE
+        MergeWithState call: per pid, append its folded rows as a
+        chain link or fold them with its chain into a new base; one
+        fold, one group file (rows in (pid, repo, path) order) and one
+        quarantine file, each tmp + rename; the ObjectRef of
+        (epoch-1, group) is an argument, so epochs pipeline per group
     driver: manifest commit, strictly in epoch order
 
 G = min(P, 2×NCPU) groups of consecutive pids (compat.task_cap, read
-once per call) are the unit of parallelism, like Flink's key groups;
-P stays the store's identity (one state file per pid) and G is never
-recorded, so a different NCPU writes the same bytes.
+once per call) are the unit of parallelism and of the state file, like
+Flink's key groups: each (epoch, group) writes one file, and each pid's
+manifest entry names its slice of it (file, offset, rows). P stays the
+store's identity — the unit of routing and of the append-or-fold
+decision — and G is never recorded: a different NCPU writes the same
+pid slices into differently grouped files.
 
 Raw Ray tasks, not a Dataset groupby: the hash-shuffle operator spawns
 an aggregator pool per execution (a measured fixed cost per epoch,
@@ -40,10 +43,13 @@ the previous link's result) it appends while the chain is short and
 small next to its base, and folds otherwise (stages/merge.appends), so
 dense epochs write copy-on-write bases and sparse ones append. Reads —
 ``read_state``, ``lookup_state``, ``epoch_diff`` — fold per-pid chains
-through the one state reader (state/delta.map_chains).
+through the one state reader (state/delta.map_chains), which reads each
+group file once per task and calls the reader's function once per task.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pandas as pd
@@ -63,7 +69,7 @@ from cosmwasm_etl_ray.stages.merge import (
     fold_partial_arrow,
 )
 from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
-from cosmwasm_etl_ray.state.delta import partition_chains, read_chains
+from cosmwasm_etl_ray.state.delta import partition_slices, read_chains
 from cosmwasm_etl_ray.state.manifest import manifest_entries
 
 
@@ -214,56 +220,47 @@ def _launch_prep_blocks(
 
 
 def _entry(stats: dict) -> dict:
-    """The manifest entry of one written link: a base keeps the
-    copy-on-write shape; an appended link adds its chain and the
-    chain files' row counts (state/manifest.py)."""
-    entry = {k: stats[k] for k in ("file", "rows", "live_rows")}
+    """The manifest entry of one pid's written slice: a base names its
+    slice; an appended link adds its chain's slices (files, offsets and
+    row counts, state/manifest.py)."""
+    entry = {k: stats[k] for k in ("file", "offset", "rows", "live_rows")}
     if len(stats["chain"]) > 1:
-        entry["chain"], entry["chain_rows"] = stats["chain"], stats["chain_rows"]
+        for k in ("chain", "chain_offsets", "chain_rows"):
+            entry[k] = stats[k]
     return entry
 
 
 def _merge_group_chain(
     state_root: str,
     epoch: int,
-    lo: int,
-    hi: int,
     override: bool,
     quarantine_root: str | None,
     prev: tuple,
     *parts,
 ):
-    """One link of the group-chained merge: each pid in [lo, hi) with
-    rows this epoch appends them to its state as of the previous
-    epoch, or folds them into it (MergeWithState decides). ``prev`` is
-    the group's (stats, pid → entry) from its task for epoch-1 —
-    passing that ObjectRef makes Ray start this task only after the
-    predecessor finished, so epochs pipeline per group with no global
-    barrier — or the committed seed. A part is a prep task's slice of
-    the group: a table, a list of them (one per Dataset block) or None.
-    Each slice splits by pid with a stable sort and each pid concats its
-    slices in input order: the rows and schema a one-task-per-pid
-    exchange hands the merge, so the bytes do not depend on G. Returns
-    (stats of the pids written, pid → entry)."""
+    """One link of the group-chained merge: ONE MergeWithState call
+    writes the epoch's rows of every pid of the group that has any —
+    each appended to its state as of the previous epoch or folded into
+    it (decided per pid) — as one group file. ``prev`` is the group's
+    (stats, pid → entry) from its task for epoch-1 — passing that
+    ObjectRef makes Ray start this task only after the predecessor
+    finished, so epochs pipeline per group with no global barrier — or
+    the committed seed. A part is a prep task's slice of the group: a
+    table, a list of them (one per Dataset block) or None; they concat
+    in input order, which keeps each pid's rows in input order (the
+    fold's tie-break). Returns (stats of the pids written, pid →
+    entry)."""
     prior = dict(prev[1])
-    slices: dict[int, list] = {}
-    for part in [t for p in parts for t in (p if isinstance(p, list) else [p])]:
-        if part is None or not part.num_rows:
-            continue
-        split = split_table_by_shard(
-            part, part["pid"].to_numpy(zero_copy_only=False) - lo, hi - lo
-        )
-        for i, s in enumerate([split] if hi - lo == 1 else split):
-            if s is not None:
-                slices.setdefault(lo + i, []).append(s)
-    if not slices:
+    parts = [
+        t for p in parts for t in (p if isinstance(p, list) else [p])
+        if t is not None and t.num_rows
+    ]
+    if not parts:
         return ([], prior)
     merge = MergeWithState(state_root, epoch, prior, override, quarantine_root)
-    stats = []
-    for pid in sorted(slices):
-        s = merge(pa.concat_tables(slices[pid], promote_options="permissive")).to_pylist()[0]
-        prior[pid] = _entry(s)
-        stats.append(s)
+    stats = merge(pa.concat_tables(parts, promote_options="permissive")).to_pylist()
+    for s in stats:
+        prior[s["pid"]] = _entry(s)
     return (stats, prior)
 
 
@@ -279,14 +276,15 @@ def _launch_chain(
         prev_refs[g] = chain.remote(
             store.state_dir,
             e,
-            bounds[g],
-            bounds[g + 1],
             cfg.override_coalesce,
             store.quarantine_dir,
             prev_refs[g],
             *[r if G == 1 else r[g] for r in preps],
         )
     return [prev_refs[g] for g in range(G)]
+
+
+_LAYERS = ("read_s", "fold_s", "write_s")
 
 
 def _commit_wave(
@@ -298,8 +296,12 @@ def _commit_wave(
     P: int,
 ) -> dict:
     """Wait for one epoch's chain links and commit its manifest — the
-    single commit protocol of every apply path."""
+    single commit protocol of every apply path. The manifest's
+    ``timings`` block records the links' summed layer times and bytes,
+    the slowest link's total, and the driver's wait for the wave."""
+    t0 = time.perf_counter()
     done = ray.get(wave)
+    wait_s = time.perf_counter() - t0
     quarantined = sum(s["quarantined"] for written, _ in done for s in written)
     touched = {s["pid"]: entries[s["pid"]] for written, entries in done for s in written}
     counts = {
@@ -308,7 +310,17 @@ def _commit_wave(
         "quarantined": quarantined,
         "touched_partitions": len(touched),
     }
-    return store.commit_epoch(e, touched, offset_range, counts, num_partitions=P)
+    timings = {
+        k: sum(s[k] for written, _ in done for s in written)
+        for k in (*_LAYERS, "bytes_written")
+    }
+    timings["slowest_group_s"] = max(
+        (sum(s[k] for s in written for k in _LAYERS) for written, _ in done), default=0.0
+    )
+    timings["wait_s"] = wait_s
+    return store.commit_epoch(
+        e, touched, offset_range, counts, num_partitions=P, timings=timings
+    )
 
 
 def plan_epochs(files: list[str], cfg: EngineConfig) -> list[list[str]]:
@@ -462,8 +474,8 @@ def _empty_state_table() -> "pa.Table":
     )
 
 
-def _live_rows(pid: int, t: "pa.Table", drop=(OP_COL, "pid", "key64")) -> "pa.Table":
-    """The serving view of one folded chain: tombstones and
+def _live_rows(t: "pa.Table", drop=(OP_COL, "pid", "key64")) -> "pa.Table":
+    """The serving view of folded chains: tombstones and
     store-internal columns dropped (``key64``, the routing hash, is
     only in stores written before the fold went exact-key),
     Arrow-native (the wide content strings never convert to pandas
@@ -476,18 +488,18 @@ def read_state(store, epoch: int | None = None) -> "ray.data.Dataset":
     """The live current-state table (tombstones dropped) as a Dataset:
     every pid's chain as of ``epoch`` (default latest) folded by the
     one state reader (state/delta.map_chains)."""
-    chains = partition_chains(store, epoch)
+    chains = partition_slices(store, epoch)
     return read_chains(
         {p: (c,) for p, c in chains.items()}, _live_rows, empty=_empty_state_table()
     )
 
 
-def _probe_keys(pid: int, t: "pa.Table", keys: "pa.Table") -> "pa.Table":
+def _probe_keys(t: "pa.Table", keys: "pa.Table") -> "pa.Table":
     """The exact (repo, path) cut of a point lookup: a semi join
     against the requested key set (a key requested twice still hits
     once), tombstones and store-internal columns dropped."""
     t = t.join(keys, keys=["repo", "path"], join_type="left semi")
-    return _live_rows(pid, t)
+    return _live_rows(t)
 
 
 def lookup_state(
@@ -495,10 +507,11 @@ def lookup_state(
 ) -> tuple["ray.data.Dataset", list[str]]:
     """Point lookups on the merge store — its serving path: fold ONLY
     the chains of the pids the (repo, path) keys hash to, so a handful
-    of keys reads a handful of chains whatever the store's width; the
-    exact key probe runs on each folded chain in the reader task.
-    Tombstoned keys simply miss. Returns the live-rows Dataset and
-    every chain file read."""
+    of keys reads a handful of slices whatever the store's width; the
+    exact key probe runs on the folded chains in the reader task.
+    Tombstoned keys simply miss. Returns the live-rows Dataset and the
+    distinct state files read (a group file once, however many of its
+    pids were probed)."""
     from cosmwasm_etl_ray.functions.hashing import assign_partition
     pids = np.unique(
         assign_partition(
@@ -507,9 +520,9 @@ def lookup_state(
             num_partitions,
         )
     )
-    chains = partition_chains(store)
+    chains = partition_slices(store)
     items = {int(p): (chains[int(p)],) for p in pids if int(p) in chains}
-    files = [f for (c,) in items.values() for f in c]
+    files = list(dict.fromkeys(s.file for (c,) in items.values() for s in c))
     want = keys[["repo", "path"]].drop_duplicates()
     key_tab = pa.table(
         {c: pa.array(want[c].astype(str).tolist(), pa.string()) for c in ("repo", "path")}
@@ -529,10 +542,11 @@ _DIFF_SCHEMA = pa.schema(
 )
 
 
-def _diff_live(pid: int, old: "pa.Table | None", new: "pa.Table") -> "pa.Table":
-    """Diff one pid's folded state between two committed epochs: live
-    rows only (tombstones are state-internal), classified
-    insert/update/delete by a full-outer key join. Commits strictly
+def _diff_live(old: "pa.Table | None", new: "pa.Table") -> "pa.Table":
+    """Diff folded state between two committed epochs (one reader
+    task's pids): live rows only (tombstones are state-internal),
+    classified insert/update/delete by a full-outer key join — keys
+    never cross pids, so one join serves all of them. Commits strictly
     increase per key, so an update always changes the commit —
     (key, commit) equality means unchanged. Typed output even when
     nothing live changed: the mixed-schema hazard."""
@@ -556,12 +570,13 @@ def epoch_diff(store, e_old: int, e_new: int) -> "ray.data.Dataset":
     """The change feed BETWEEN two committed epochs, read delta-bounded:
     manifest lineage says which pids epoch (e_old, e_new] touched, and
     ONLY those pids are read — fold(chain@e_old) against
-    fold(chain@e_new), across folds too — so IO follows the delta, not
-    the store width (the CDC-out analogue of the reference's
-    synced-height incremental consumers). Rows classify
-    insert/update/delete by a full-outer key merge."""
-    new = partition_chains(store, e_new, touched_after=e_old)
-    old = partition_chains(store, e_old) if new else {}
+    fold(chain@e_new), across folds too, the two chains' slices may sit
+    in different files — so IO follows the delta, not the store width
+    (the CDC-out analogue of the reference's synced-height incremental
+    consumers). Rows classify insert/update/delete by a full-outer key
+    merge."""
+    new = partition_slices(store, e_new, touched_after=e_old)
+    old = partition_slices(store, e_old) if new else {}
     return read_chains(
         {p: (old.get(p, []), c) for p, c in new.items()},
         _diff_live,

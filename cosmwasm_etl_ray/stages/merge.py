@@ -17,9 +17,9 @@ the same kernel serves as:
 - the COMBINER (``fold_partial_arrow``): every prep shard is pre-folded
   before the exchange, so a hot key's events collapse to one row per
   shard — skew dies before the all-to-all; quarantine rows pass through;
-- the MERGE: a link folds the epoch's rows onto the pid's prior state;
+- the MERGE: a link folds the epoch's rows onto its pids' prior state;
 - the CHAIN READ: a reader folds a pid's chain of base + appended
-  links (state/delta.fold_chain), exactly (SURVEY.md §7.4 "fold by
+  links (state/delta.map_chains), exactly (SURVEY.md §7.4 "fold by
   max-commit is associative").
 
 Tombstones are retained in persisted state (readers filter them), so
@@ -36,6 +36,7 @@ per column — documented limitation, config.override_coalesce).
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pandas as pd
@@ -43,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from cosmwasm_etl_ray.state.manifest import entry_chain, entry_chain_rows
+from cosmwasm_etl_ray.state.manifest import entry_chain_rows, entry_slices
 
 KEY_COLS = ["repo", "path"]
 
@@ -71,6 +72,11 @@ META_COLS = KEY_COLS + [SEQ_COL, OP_COL, "pid"]
 # pid and gc_state can sweep the covered links.
 MAX_CHAIN_LINKS = 4
 FOLD_SHARE = 4
+# A state file's row groups hold whole pids: one closes once it reaches
+# this many rows, and MergeWithState folds and writes one row group's
+# pids at a time, so a merge task holds about this many rows plus its
+# largest pid whatever its group's size.
+ROW_GROUP_ROWS = 1 << 17
 
 
 def appends(chain_rows: list[int] | None, epoch_rows: int) -> bool:
@@ -87,23 +93,28 @@ def appends(chain_rows: list[int] | None, epoch_rows: int) -> bool:
     )
 
 
-def _rank(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:
-    """Order-preserving int64 codes of a string column: equal values
-    share a code and codes sort like the values (Arrow compares UTF-8
-    bytes, which is code-point order). Returns (codes, #distinct)."""
+def _rank(col: pa.ChunkedArray, ordered: bool = True) -> tuple[np.ndarray, int]:
+    """Exact int64 codes of a string column: equal values share a code.
+    ``ordered`` codes also sort like the values (Arrow compares UTF-8
+    bytes, which is code-point order) — it costs a sort of the
+    dictionary. Returns (codes, #distinct)."""
     enc = pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
     d = len(enc.dictionary)
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    if not ordered:
+        return codes.astype(np.int64), d
     rank = np.empty(d, np.int64)
     rank[pc.sort_indices(enc.dictionary).to_numpy()] = np.arange(d)
-    return rank[enc.indices.to_numpy(zero_copy_only=False)], d
+    return rank[codes], d
 
 
-def _lww_winners(t: pa.Table) -> np.ndarray:
-    """Row indices of the LWW winners of ``t``, in (repo, path) order:
-    per exact key the max-commit row, an equal commit won by the later
-    input position (np.lexsort is stable)."""
-    repo, _ = _rank(t["repo"])
-    path, n_paths = _rank(t["path"])
+def _lww_winners(t: pa.Table, ordered: bool = True) -> np.ndarray:
+    """Row indices of the LWW winners of ``t``: per exact key the
+    max-commit row, an equal commit won by the later input position
+    (np.lexsort is stable). ``ordered``: the winners come in (repo,
+    path) order; otherwise in an arbitrary but fixed key order."""
+    repo, _ = _rank(t["repo"], ordered)
+    path, n_paths = _rank(t["path"], ordered)
     key = repo * n_paths + path
     commit = pc.cast(t["commit"], pa.int64()).to_numpy(zero_copy_only=False)
     order = np.lexsort((commit, key))
@@ -125,10 +136,12 @@ def fold_lww_arrow(t: pa.Table) -> pa.Table:
 
 
 def fold_partial_arrow(t: pa.Table) -> pa.Table:
-    """The prep combiner: fold_lww_arrow over the ``valid`` rows (the
+    """The prep combiner: the LWW fold over the ``valid`` rows (the
     folded rows keep their input positions) while the quarantine rows
     pass through untouched, in input order — they reach the merge stage
-    with their raw payload intact."""
+    with their raw payload intact. The output goes back to input order,
+    so the key codes need not sort like the keys (no dictionary
+    sort)."""
     if t.num_rows <= 1:
         return t
     valid = t["valid"].to_numpy(zero_copy_only=False).astype(bool)
@@ -138,7 +151,7 @@ def fold_partial_arrow(t: pa.Table) -> pa.Table:
     keys = t.select(KEY_COLS + [SEQ_COL])
     if len(vidx) < t.num_rows:
         keys = keys.take(pa.array(vidx))
-    keep = np.sort(np.concatenate([vidx[_lww_winners(keys)], np.nonzero(~valid)[0]]))
+    keep = np.sort(np.concatenate([vidx[_lww_winners(keys, False)], np.nonzero(~valid)[0]]))
     return t if len(keep) == t.num_rows else t.take(pa.array(keep))
 
 
@@ -204,33 +217,48 @@ def _to_arrow(df: pd.DataFrame) -> pa.Table:
 
 
 class MergeWithState:
-    """The per-partition merge stage — called once per (epoch, pid) by
-    the replay's chain link for the pid's group
-    (pipelines/replay._merge_group_chain), which hands it the group's
-    state as of the previous epoch, per pid: its manifest entry (chain
-    + per-file row counts), or a bare file path, which is a one-file
-    chain of unknown size and so always folds.
+    """The merge stage — called once per (epoch, pid-group) by the
+    replay's chain link (pipelines/replay._merge_group_chain) with the
+    rows of all the group's pids, or once per pid by a caller that
+    splits by pid itself. ``prior_files`` maps pid → its state as of
+    the previous epoch: a manifest entry (chain of slices + per-slice
+    row counts), or a bare file path, which is a one-slice chain of
+    unknown size (read filtered to the pid, so it may be a group file)
+    and so always folds.
 
-    One call = one partition's folded change rows for this epoch, AS AN
-    ARROW TABLE: the quarantine split, the append-or-fold decision
-    (``appends``), the prior-chain concat (additive schema evolution:
-    ``promote_options="permissive"`` null-backfills missing columns)
-    and the LWW fold all run in Arrow, so the wide ``content`` strings
-    never convert to Python/pandas objects on the hot path (override
-    mode is the documented pandas exception — its column-wise coalesce
-    is not associative, so it always folds onto the whole state).
-    Writes ``epoch={e}/part-{pid:05d}.parquet`` — a new base or an
-    appended link — atomically (tmp + rename → task retries
+    One call = one or more pids' change rows for this epoch, AS AN
+    ARROW TABLE. Per pid it decides append or fold from the counts
+    (``appends``): an appending pid's link is its folded epoch rows, a
+    folding pid's new base is its chain folded with its epoch rows.
+    Keys never cross pids, so ONE ``fold_lww_arrow`` over the folding
+    pids' chains (each prior file read once, only the row groups that
+    hold a folding pid's slice) and every pid's epoch rows equals the
+    per-pid folds; override mode runs ``fold_override`` once the same
+    way (its column-wise coalesce is not associative, so it always
+    folds, and is the documented pandas exception — the wide
+    ``content`` strings otherwise never leave Arrow). Additive schema
+    evolution: ``promote_options="permissive"`` null-backfills a column
+    that some rows lack.
+
+    Writes ONE ``epoch={e}/part-{lo:05d}.parquet`` (``lo`` = the call's
+    lowest pid; a one-pid call writes the pid's own name) with rows in
+    (pid, repo, path) order, and one quarantine file of the call's
+    invalid rows — each atomically (tmp + rename → task retries
     self-overwrite, never duplicate — the exactly-once write half; the
-    manifest commit is the other half), and returns a one-row stats table (the lineage
-    record) whose ``chain``/``chain_rows`` are the pid's chain after
-    this write (length 1 for a base).
+    manifest commit is the other half). A row group closes between
+    pids once it holds ``ROW_GROUP_ROWS`` rows, and the call folds and
+    writes one row group's pids at a time. Returns one stats row per
+    pid (the lineage record): its slice (``file``, ``offset``,
+    ``rows``), and ``chain``/``chain_offsets``/``chain_rows``, the
+    pid's chain after this write (length 1 for a base). The call's
+    ``read_s``/``fold_s``/``write_s`` and ``bytes_written`` ride on its
+    first row (0 on the others), so sums over rows are exact.
 
     This is the ST1 analogue: the reference holds the pair key set in
     process memory and mutates it serially
     (/root/reference/parser/dex/dezswap/app.go:42-68); here each
-    partition's key set lives in its chain files and is owned by
-    whichever worker runs that pid's chain link — state is
+    partition's key set lives in its chain's slices and is owned by
+    whichever worker runs its group's chain link — state is
     partition-local because keys route by pure hash.
     """
 
@@ -253,74 +281,165 @@ class MergeWithState:
                 os.path.join(quarantine_root, f"epoch={epoch}"), exist_ok=True
             )
 
-    def __call__(self, group: pa.Table) -> pa.Table:
-        pid = int(group["pid"][0].as_py())
-        n_in = group.num_rows
+    def _prior(self, pid: int) -> tuple[list, list[int] | None, bool]:
+        """(chain slices, chain row counts, bare path?) of the pid."""
+        prior = self.prior_files.get(pid)
+        if not prior:
+            return [], [], False
+        bare = isinstance(prior, str)
+        info = {"file": prior} if bare else prior
+        return entry_slices(info), entry_chain_rows(info), bare
 
-        n_quarantined = 0
+    def _quarantine(self, bad: pa.Table, name: str) -> int:
+        """Write the call's invalid rows; returns the bytes written."""
+        if not bad.num_rows or not self.quarantine_root:
+            return 0
+        out = os.path.join(self.quarantine_root, f"epoch={self.epoch}", name)
+        bad = bad.drop_columns(["valid"]).append_column(
+            "error", pa.array(["invalid_commit_or_op"] * bad.num_rows, pa.string())
+        )
+        tmp = f"{out}.tmp.{os.getpid()}"
+        pq.write_table(bad, tmp, **STATE_CODEC)
+        os.replace(tmp, out)
+        return os.path.getsize(out)
+
+    def _fold(self, prior: list[pa.Table], rows: pa.Table) -> pa.Table:
+        """One fold of several pids' prior rows (each pid's chain in
+        order) and epoch rows, in (pid, repo, path) order."""
+        t = pa.concat_tables([*prior, rows], promote_options="permissive")
+        if self.override:
+            df = fold_override(t.to_pandas())
+            return _to_arrow(df.sort_values(["pid", *KEY_COLS], kind="stable"))
+        if t.num_rows <= 1:
+            return t
+        win = _lww_winners(t)  # key-sorted; keys never cross pids
+        pid = t["pid"].to_numpy(zero_copy_only=False)[win]
+        return t.take(pa.array(win[np.argsort(pid, kind="stable")]))
+
+    def __call__(self, group: pa.Table) -> pa.Table:
+        from cosmwasm_etl_ray.state.delta import read_slices, slices_schema
+
+        pids, n_in = np.unique(group["pid"].to_numpy(zero_copy_only=False), return_counts=True)
+        name = f"part-{int(pids[0]):05d}.parquet"
+        bad = group.slice(0, 0)
         if "valid" in group.column_names:
             valid = group["valid"].combine_chunks()
             bad = group.filter(pc.invert(valid))
             group = group.filter(valid).drop_columns(["valid"])
-            n_quarantined = bad.num_rows
-            if n_quarantined and self.quarantine_root:
-                qout = os.path.join(
-                    self.quarantine_root,
-                    f"epoch={self.epoch}",
-                    f"part-{pid:05d}.parquet",
-                )
-                bad = bad.drop_columns(["valid"]).append_column(
-                    "error",
-                    pa.array(["invalid_commit_or_op"] * n_quarantined, pa.string()),
-                )
-                tmp = f"{qout}.tmp.{os.getpid()}"
-                pq.write_table(bad, tmp, **STATE_CODEC)
-                os.replace(tmp, qout)
+        t0 = time.perf_counter()
+        q_bytes = self._quarantine(bad, name)
+        write_s = time.perf_counter() - t0
+        bad_pid = np.sort(bad["pid"].to_numpy(zero_copy_only=False))
+        n_bad = np.searchsorted(bad_pid, pids, "right") - np.searchsorted(bad_pid, pids, "left")
+        vpid = group["pid"].to_numpy(zero_copy_only=False)
+        n_rows = n_in - n_bad
 
-        prior = self.prior_files.get(pid)
-        if isinstance(prior, str):
-            prior = {"file": prior}
-        chain = entry_chain(prior) if prior else []
-        chain_rows = entry_chain_rows(prior) if prior else []
+        priors = [self._prior(int(p)) for p in pids]
+        folds = [
+            self.override or not appends(crows, int(n)) for (_, crows, _), n in zip(priors, n_rows)
+        ]
+        # row groups: runs of whole pids of ≥ ROW_GROUP_ROWS estimated rows
+        est = n_rows + np.array([sum(r or []) if f else 0 for (_, r, _), f in zip(priors, folds)])
+        cuts, acc = [0], 0
+        for i, n in enumerate(est):
+            acc += int(n)
+            if acc >= ROW_GROUP_ROWS and i + 1 < len(pids):
+                cuts.append(i + 1)
+                acc = 0
+        cuts.append(len(pids))
 
-        if not self.override and appends(chain_rows, group.num_rows):
-            folded = fold_lww_arrow(group)
-        else:
-            from cosmwasm_etl_ray.state.delta import fold_chain
-
-            state = fold_chain(chain)
-            if state is not None and "key64" in state.column_names:
-                # the routing hash that stores written before the exact-key
-                # fold carry: a new base drops it
-                state = state.drop_columns(["key64"])
-            allrows = group if state is None else pa.concat_tables(
-                [state, group], promote_options="permissive"
-            )
-            if self.override:
-                folded_df = fold_override(allrows.to_pandas())
-                folded_df = folded_df.sort_values(KEY_COLS, kind="stable")
-                folded = _to_arrow(folded_df)
-            else:
-                folded = fold_lww_arrow(allrows)  # comes out key-sorted
-            chain, chain_rows = [], []
-
-        out = os.path.join(self.state_root, f"epoch={self.epoch}", f"part-{pid:05d}.parquet")
+        out = os.path.join(self.state_root, f"epoch={self.epoch}", name)
         tmp = f"{out}.tmp.{os.getpid()}"
-        pq.write_table(folded, tmp, **STATE_CODEC)
+        read_s = fold_s = 0.0
+        writer = schema = None
+        written, live = np.zeros(len(pids), np.int64), np.zeros(len(pids), np.int64)
+        for a, b in zip(cuts, cuts[1:]):
+            t0 = time.perf_counter()
+            want = [(int(pids[i]), priors[i]) for i in range(a, b) if folds[i]]
+            tabs = iter(read_slices([s for _, (c, _, _) in want for s in c]))
+            prior = []
+            for pid, (chain, _, bare) in want:
+                for _ in chain:
+                    t = next(tabs)
+                    if bare:
+                        t = t.filter(pc.equal(t["pid"], pid))
+                    if "key64" in t.column_names:
+                        # the routing hash that stores written before the
+                        # exact-key fold carry: a new base drops it
+                        t = t.drop_columns(["key64"])
+                    prior.append(t)
+            rows = group if len(cuts) == 2 else group.filter(
+                pa.array((vpid >= pids[a]) & (vpid <= pids[b - 1]))
+            )
+            t1 = time.perf_counter()
+            folded = self._fold(prior, rows)
+            t2 = time.perf_counter()
+            if schema is None:
+                # several row groups share the schema of all the
+                # folding pids' prior files and the epoch's rows
+                schema = folded.schema if len(cuts) == 2 else pa.unify_schemas(
+                    [*slices_schema([s for i, p in enumerate(priors) if folds[i] for s in p[0]]),
+                     group.schema],
+                    promote_options="permissive",
+                )
+                writer = pq.ParquetWriter(tmp, schema, **STATE_CODEC)
+            fpid = folded["pid"].to_numpy(zero_copy_only=False)
+            at = np.searchsorted(pids, fpid)
+            written += np.bincount(at, minlength=len(pids))
+            alive = pc.not_equal(folded[OP_COL], pa.scalar("delete")).to_numpy(zero_copy_only=False)
+            live += np.bincount(at, weights=alive, minlength=len(pids)).astype(np.int64)
+            if folded.num_rows:
+                writer.write_table(_conform(folded, schema), row_group_size=folded.num_rows)
+            t3 = time.perf_counter()
+            read_s += t1 - t0
+            fold_s += t2 - t1
+            write_s += t3 - t2
+        t0 = time.perf_counter()
+        writer.close()
         os.replace(tmp, out)
+        write_s += time.perf_counter() - t0
 
-        live = int(pc.sum(pc.not_equal(folded[OP_COL], pa.scalar("delete"))).as_py() or 0)
+        offsets = np.r_[0, np.cumsum(written)[:-1]]
+        chains, chain_offsets, chain_rows = [], [], []
+        for i, (chain, crows, _) in enumerate(priors):
+            kept = [] if folds[i] else chain
+            chains.append([*(s.file for s in kept), out])
+            chain_offsets.append([*(s.offset for s in kept), int(offsets[i])])
+            chain_rows.append([*([] if folds[i] else crows), int(written[i])])
+        first = np.r_[1.0, np.zeros(len(pids) - 1)]
         return pa.table(
             {
-                "pid": pa.array([pid], pa.int64()),
-                "rows": pa.array([folded.num_rows], pa.int64()),
-                "live_rows": pa.array([live], pa.int64()),
-                "merged_partials": pa.array([n_in], pa.int64()),
-                "quarantined": pa.array([n_quarantined], pa.int64()),
-                "file": pa.array([out], pa.string()),
-                "chain": pa.array([[*chain, out]], pa.list_(pa.string())),
-                "chain_rows": pa.array(
-                    [[*chain_rows, folded.num_rows]], pa.list_(pa.int64())
+                "pid": pa.array(pids, pa.int64()),
+                "rows": pa.array(written, pa.int64()),
+                "live_rows": pa.array(live, pa.int64()),
+                "merged_partials": pa.array(n_in, pa.int64()),
+                "quarantined": pa.array(n_bad, pa.int64()),
+                "file": pa.array([out] * len(pids), pa.string()),
+                "offset": pa.array(offsets, pa.int64()),
+                "chain": pa.array(chains, pa.list_(pa.string())),
+                "chain_offsets": pa.array(chain_offsets, pa.list_(pa.int64())),
+                "chain_rows": pa.array(chain_rows, pa.list_(pa.int64())),
+                "read_s": pa.array(first * read_s),
+                "fold_s": pa.array(first * fold_s),
+                "write_s": pa.array(first * write_s),
+                "bytes_written": pa.array(
+                    (first * (os.path.getsize(out) + q_bytes)).astype(np.int64)
                 ),
             }
         )
+
+
+def _conform(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """Pad/reorder a table to ``schema``: typed nulls for a missing
+    column (the mixed-schema union hazard, CLAUDE.md) — a state file's
+    row groups, and the state reader's blocks, share one schema."""
+    if t.schema.equals(schema):
+        return t
+    return pa.Table.from_arrays(
+        [
+            t[f.name].cast(f.type) if f.name in t.column_names
+            else pa.nulls(t.num_rows, f.type)
+            for f in schema
+        ],
+        schema=schema,
+    )

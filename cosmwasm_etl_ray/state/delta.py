@@ -1,31 +1,37 @@
 """State chains and the one state reader.
 
+A pid's chain is the ordered list of slices [base, link, ...] recorded
+in ONE manifest (state/manifest.py): each slice is the pid's rows in
+one state file. The merge writes one file per (epoch, pid-group), with
+rows in (pid, repo, path) order and row groups that close only between
+pids, so a group's pids share their files. Each merge link decides from
+the chain's own row counts whether to append its folded rows as a link
+or fold the chain into a new base (stages/merge.appends): dense epochs
+always write a base, so the chain stays one slice (copy-on-write);
+sparse epochs append — the write is O(touched keys), not O(total
+state), the 1B soak's diagnosed limiter (SOAK_1B.json) — and fold once
+the chain would exceed 4 slices or the appended rows reach ¼ of the
+base's, after which gc_state sweeps the files no kept chain names. No
+caller compacts.
+
 Every read of committed state goes through ``map_chains``: one item
 per pid (its chain, or an (old, new) chain pair for a diff), grouped
-into at most min(#items, 2×NCPU) raw Ray tasks (compat.task_cap, also
-the replay's cap on prep shards and merge pid-groups); each task folds
-its pids' chains with ``fold_chain``, applies the caller's per-pid
-function and returns one Arrow table, and blocks are padded to one
-schema with typed nulls.
-
-A pid's chain is the ordered file list [base, link, ...] recorded in
-ONE manifest. Each merge link decides from the chain's own row counts
-whether to append its folded rows as a link or fold the chain into a
-new base (stages/merge.appends): dense epochs always write a base, so
-the chain stays one file (copy-on-write); sparse epochs append — the
-write is O(touched keys), not O(total state), the 1B soak's diagnosed
-limiter (SOAK_1B.json) — and fold once the chain would exceed 4 files
-or the appended rows reach ¼ of the base's, after which gc_state
-sweeps the covered links. No caller compacts.
+by shared files into at most min(#items, 2×NCPU) raw Ray tasks
+(compat.task_cap, also the replay's cap on prep shards and merge
+pid-groups). A task reads each of its files once (``read_slices``:
+only the row groups that hold its slices), folds the chains of more
+than one slice, calls the caller's function once on the task's
+concatenated tables and returns one Arrow table; blocks are padded to
+one schema with typed nulls.
 
 How rows were written never changes how they are read: the fold is
 fold_lww_arrow in epoch order (prior-first, so the tie-break matches
 a copy-on-write fold bit-for-bit — LWW is associative, which is why
-appending is sound). The merge link's fold reads the prior chain
-through ``fold_chain`` too. Readers take no parquet predicate: a
-caller's key cut (lookup_state's semi join) runs on the folded rows.
-Reference analogue: one repository layer serves every reader (the
-reference parser's parser/dex/repo/repository.go:63-122).
+appending is sound). The merge link reads the prior chain through
+``read_slices`` too. Readers take no parquet predicate: a caller's key
+cut (lookup_state's semi join) runs on the folded rows. Reference
+analogue: one repository layer serves every reader (the reference
+parser's parser/dex/repo/repository.go:63-122).
 """
 
 from __future__ import annotations
@@ -37,96 +43,180 @@ import pyarrow.parquet as pq
 import ray
 
 from cosmwasm_etl_ray.compat import cached_remote, task_cap
-from cosmwasm_etl_ray.stages.merge import fold_lww_arrow
-from cosmwasm_etl_ray.state.manifest import entry_chain, manifest_entries
+from cosmwasm_etl_ray.stages.merge import _conform, fold_lww_arrow
+from cosmwasm_etl_ray.state.manifest import Slice, entry_slices, manifest_entries
+
+FOLD_COLS = ["repo", "path", "commit"]  # what a fold reads besides the caller's columns
 
 
-def partition_chains(
+def partition_slices(
     store, epoch: int | None = None, touched_after: int | None = None
-) -> dict[int, list[str]]:
-    """pid -> ordered file chain as of ``epoch`` (default latest), from
-    that ONE manifest. ``touched_after`` keeps only the pids an epoch
-    in (touched_after, epoch] rewrote or appended to."""
+) -> dict[int, list[Slice]]:
+    """pid -> ordered chain of slices as of ``epoch`` (default latest),
+    from that ONE manifest. ``touched_after`` keeps only the pids an
+    epoch in (touched_after, epoch] rewrote or appended to."""
     if epoch is None:
         epoch = store.latest_epoch()
     if epoch is None:
         return {}
     return {
-        int(pid): entry_chain(info)
+        int(pid): entry_slices(info)
         for pid, info in manifest_entries(store.manifest(epoch)).items()
         if touched_after is None or info["epoch"] > touched_after
     }
 
 
-def fold_chain(files: list[str], columns: list[str] | None = None) -> pa.Table | None:
-    """Fold one pid's chain (None for an empty chain): concat in epoch
-    order (earlier files first — fold_lww_arrow breaks equal-commit
-    ties by input position, so later epochs win exactly like a
-    copy-on-write fold's prior-first concat) and LWW-fold. Tombstones
-    KEPT (state semantics). The read and the merge link's fold both
-    come here. ``columns`` prunes the read (the fold's key columns
-    ride along on chains longer than one); each file is read whole
-    through ``ParquetFile`` — no dataset discovery, no predicate: a
-    caller's key cut runs on the folded rows. The folded rows carry
-    the state files' columns only, so how a chain was written never
-    shows in a read."""
-    if not files:
+def partition_chains(
+    store, epoch: int | None = None, touched_after: int | None = None
+) -> dict[int, list[str]]:
+    """pid -> the files of its chain (``partition_slices`` without the
+    offsets): the lineage gc_state keeps."""
+    return {
+        pid: [s.file for s in chain]
+        for pid, chain in partition_slices(store, epoch, touched_after).items()
+    }
+
+
+def _row_group(starts: np.ndarray, row: int) -> int:
+    """The row group that holds ``row`` (row groups start at
+    ``starts``; the last entry is the file's row count)."""
+    return min(int(np.searchsorted(starts, row, "right")) - 1, len(starts) - 2)
+
+
+def read_slices(slices: list[Slice], columns: list[str] | None = None) -> list[pa.Table]:
+    """Each slice as a table, reading each distinct file once through
+    ``ParquetFile`` and only the row groups that hold a requested slice
+    (the merge closes a row group only between pids, so a pid's slice
+    sits in one). No dataset discovery, no predicate: a caller's key
+    cut runs on the rows read."""
+    by_file: dict[str, list[Slice]] = {}
+    for s in slices:
+        by_file.setdefault(s.file, []).append(s)
+    out: dict[Slice, pa.Table] = {}
+    for f, ss in by_file.items():
+        pf = pq.ParquetFile(f)
+        md = pf.metadata
+        starts = np.cumsum([0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)])
+        if any(s.offset is None for s in ss):
+            rgs = list(range(md.num_row_groups))
+        else:
+            rgs = sorted({
+                rg for s in ss if s.rows
+                for rg in range(
+                    _row_group(starts, s.offset),
+                    min(int(np.searchsorted(starts, s.offset + s.rows, "left")), len(starts) - 1),
+                )
+            })
+        t = pf.read_row_groups(rgs, columns=columns)
+        # row r of the file sits at r - shift[rg] in t
+        sizes = np.diff(starts)[rgs] if rgs else np.zeros(0, np.int64)
+        shift = dict(zip(rgs, starts[rgs] - np.cumsum(np.r_[0, sizes[:-1]])))
+        for s in ss:
+            if s.offset is None:
+                out[s] = t
+            elif not s.rows:
+                out[s] = t.slice(0, 0)
+            else:
+                rg = _row_group(starts, s.offset)
+                out[s] = t.slice(int(s.offset - shift.get(rg, 0)), s.rows)
+    return [out[s] for s in slices]
+
+
+def slices_schema(slices: list[Slice]) -> list[pa.Schema]:
+    """The schemas (footers only) of the files the slices name, without
+    the ``key64`` column of stores written before the exact-key fold."""
+    out = []
+    for f in dict.fromkeys(s.file for s in slices):
+        schema = pq.read_schema(f)
+        i = schema.get_field_index("key64")
+        out.append(schema if i < 0 else schema.remove(i))
+    return out
+
+
+def _fold_tables(chains: list[list[pa.Table]], columns: list[str] | None) -> pa.Table | None:
+    """Fold the read slices of several pids' chains into one table
+    (None when every chain is empty): a one-slice chain is its state
+    as read; the chains of more than one slice are concatenated, each
+    in epoch order (earlier slices first — fold_lww_arrow breaks
+    equal-commit ties by input position, so later epochs win exactly
+    like a copy-on-write fold's prior-first concat), and LWW-folded
+    once — keys never cross pids, so one fold equals a fold per pid.
+    Tombstones KEPT (state semantics)."""
+    out = [c[0] for c in chains if len(c) == 1]
+    multi = [t for c in chains if len(c) > 1 for t in c]
+    if multi:
+        out.append(fold_lww_arrow(pa.concat_tables(multi, promote_options="permissive")))
+    if not out:
         return None
-    if columns is not None and len(files) > 1:
-        columns = list(dict.fromkeys([*columns, "repo", "path", "commit"]))
-    tables = [pq.ParquetFile(f).read(columns=columns) for f in files]
-    if len(tables) == 1:
-        return tables[0]
-    return fold_lww_arrow(pa.concat_tables(tables, promote_options="permissive"))
+    t = out[0] if len(out) == 1 else pa.concat_tables(out, promote_options="permissive")
+    if columns is not None:
+        t = t.select([c for c in columns if c in t.column_names])
+    return t
 
 
 def _read_group(fn, columns, group, *args):
-    """One reader task: fold each (pid, chains) item, apply ``fn``,
-    concat. Returns (table, schema) so the driver can align schemas
-    without fetching the table."""
-    outs = [
-        fn(pid, *[fold_chain(c, columns) for c in chains], *args)
-        for pid, chains in group
-    ]
-    t = outs[0] if len(outs) == 1 else pa.concat_tables(outs, promote_options="permissive")
+    """One reader task: read every slice of its pids' chains (each file
+    once), fold each chain position over the task's pids, and call
+    ``fn`` once on the folded tables. Returns (table, schema) so the
+    driver can align schemas without fetching the table."""
+    cols = columns
+    if columns is not None and any(len(c) > 1 for _, chains in group for c in chains):
+        cols = list(dict.fromkeys([*columns, *FOLD_COLS]))
+    tables = iter(read_slices([s for _, chains in group for c in chains for s in c], cols))
+    read = [[[next(tables) for _ in c] for c in chains] for _, chains in group]
+    n = len(group[0][1])
+    t = fn(*[_fold_tables([r[i] for r in read], columns) for i in range(n)], *args)
     return t, t.schema
 
 
-def _conform(t: pa.Table, schema: pa.Schema) -> pa.Table:
-    """Pad/reorder one block to the shared schema: typed nulls for a
-    missing column (the mixed-schema union hazard, CLAUDE.md)."""
-    return pa.Table.from_arrays(
-        [
-            t[f.name].cast(f.type) if f.name in t.column_names
-            else pa.nulls(t.num_rows, f.type)
-            for f in schema
-        ],
-        schema=schema,
-    )
+def _file_groups(items: dict[int, tuple[list[Slice], ...]], cap: int) -> list[list[int]]:
+    """Pids in at most ``cap`` groups, pids whose slices share a file
+    in the same group (so a task reads each file it needs once and no
+    other task reads it): connected components over shared files, in
+    pid order, split into ≤ cap runs of consecutive components."""
+    pids = sorted(items)
+    root = {p: p for p in pids}
+
+    def find(p: int) -> int:
+        while root[p] != p:
+            root[p] = p = root[root[p]]
+        return p
+
+    owner: dict[str, int] = {}
+    for p in pids:
+        for chain in items[p]:
+            for s in chain:
+                a, b = find(p), find(owner.setdefault(s.file, p))
+                root[max(a, b)] = min(a, b)
+    comps: dict[int, list[int]] = {}
+    for p in pids:
+        comps.setdefault(find(p), []).append(p)
+    runs = np.array_split(np.arange(len(comps)), min(len(comps), cap))
+    ordered = list(comps.values())
+    return [[p for i in run for p in ordered[i]] for run in runs]
 
 
 def map_chains(
-    items: dict[int, tuple[list[str], ...]],
+    items: dict[int, tuple[list[Slice], ...]],
     fn,
     *args,
     columns: list[str] | None = None,
 ) -> list[tuple[list[int], "ray.ObjectRef"]]:
-    """THE state reader. ``items`` maps pid -> a tuple of chains (one
-    chain to read, (old, new) to diff); ``fn(pid, *folded, *args)``
-    runs inside the task on each pid's folded tables (None for an
-    empty chain) and returns an Arrow table. Pids are grouped in pid
-    order into at most min(#items, task_cap()) raw tasks; one task per
-    pid measured slower than a Dataset scan (BASELINE.md, "Read path
-    unified"). Returns (pids, table ref) per task, every table in one
-    schema."""
+    """THE state reader. ``items`` maps pid -> a tuple of chains of
+    slices (one chain to read, (old, new) to diff). Pids are grouped
+    by the files they share into at most min(#items, task_cap()) raw
+    tasks; one task per pid measured slower than a Dataset scan
+    (BASELINE.md, "Read path unified"), and one task per file of a
+    group store reads it once. Each task folds its pids' chains and
+    calls ``fn(*folded, *args)`` ONCE on the folded tables (one per
+    chain position, all the task's pids concatenated; None where every
+    chain is empty), which returns an Arrow table — keys never cross
+    pids, so ``fn`` needs no per-pid loop. Returns (pids, table ref)
+    per task, every table in one schema."""
     if not items:
         return []
-    pids = sorted(items)
     task = cached_remote("state_read_group", _read_group, num_returns=2)
-    groups = [
-        [int(p) for p in g]
-        for g in np.array_split(np.array(pids), min(len(pids), task_cap()))
-    ]
+    groups = _file_groups(items, task_cap())
     outs = [
         task.remote(fn, columns, [(p, items[p]) for p in g], *args)
         for g in groups

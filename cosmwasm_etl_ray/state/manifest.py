@@ -14,12 +14,20 @@ CAS on the prior cursor) onto a Parquet lake:
   counts, applied-event counts, the source offset range
   (= the synced-height cursor), and which epoch last wrote each
   partition (untouched partitions carry forward);
-- a partition entry is a BASE (the pid's whole state in one file:
-  ``file``, ``rows``, ``live_rows``, ``epoch``) or an appended LINK,
-  which adds the pid's ``chain`` (base first, itself last) and
-  ``chain_rows`` (each chain file's rows; ``rows``/``live_rows`` count
-  the link's own file). The merge link decides which it writes from
-  those counts (stages/merge.appends); manifests carry ``"format": 2``;
+- a partition entry names a SLICE of a state file: ``file``,
+  ``offset`` (the pid's first row in it) and ``rows``. The merge
+  writes one file per (epoch, pid-group) with rows in (pid, repo,
+  path) order, so a group's pids share the file and each entry names
+  its pid's rows; gc keeps a file while any kept entry names a slice
+  of it. An entry without ``offset`` names the whole file (format-1
+  and format-2 stores, and callers that write one file per pid);
+- an entry is a BASE (the pid's whole state in one slice: ``file``,
+  ``offset``, ``rows``, ``live_rows``, ``epoch``) or an appended LINK,
+  which adds the pid's chain of slices, base first and itself last:
+  ``chain`` (their files), ``chain_offsets`` and ``chain_rows``
+  (``rows``/``live_rows`` count the link's own slice). The merge link
+  decides which it writes from those counts (stages/merge.appends);
+  manifests carry ``"format": 3``;
 - resume = read the max committed epoch, replay from its
   ``offset_range[1] + 1``; a crash after partition writes but before
   the manifest leaves the epoch uncommitted and the re-run overwrites
@@ -27,11 +35,14 @@ CAS on the prior cursor) onto a Parquet lake:
   is idempotent).
 
 The layout is resumable-by-partition at 100 TB: state is one file per
-hash partition per touching epoch, never one giant file.
+pid-group per touching epoch (at most 2×NCPU files an epoch), never one
+giant file, and the pid stays the unit of routing and of the
+append-or-fold decision.
 
-Older manifests stay readable: format-1 full-layout entries and
-compaction ``base`` entries are bases, format-1 delta links carry
-``chain`` without ``chain_rows`` (their next write folds). A format-1
+Older manifests stay readable: format-2 entries name whole files,
+format-1 full-layout entries and compaction ``base`` entries are
+bases, format-1 delta links carry ``chain`` without ``chain_rows``
+(their next write folds). A format-1
 delta manifest written before chains were recorded names only each
 pid's newest link, so ``manifest_entries`` refuses it.
 """
@@ -42,15 +53,37 @@ import json
 import os
 import re
 import time
+from typing import NamedTuple
 
 _MANIFEST_RE = re.compile(r"^epoch-(\d{6})\.json$")
-MANIFEST_FORMAT = 2
+MANIFEST_FORMAT = 3
+
+
+class Slice(NamedTuple):
+    """One pid's rows in one state file: ``rows`` rows from row
+    ``offset`` on, or the whole file when ``offset`` is None."""
+
+    file: str
+    offset: int | None = None
+    rows: int | None = None
 
 
 def entry_chain(info: dict) -> list[str]:
-    """One manifest partition entry's chain: a link records it; a base
-    is its own chain."""
+    """One manifest partition entry's chain files: a link records
+    them; a base is its own chain."""
     return info.get("chain") or [info["file"]]
+
+
+def entry_slices(info: dict) -> list[Slice]:
+    """One manifest partition entry's chain as slices, base first;
+    an entry that records no offsets names whole files."""
+    files = entry_chain(info)
+    if "chain" in info:
+        offsets = info.get("chain_offsets") or [None] * len(files)
+    else:
+        offsets = [info.get("offset")]
+    rows = entry_chain_rows(info) or [None] * len(files)
+    return [Slice(f, o, None if o is None else r) for f, o, r in zip(files, offsets, rows)]
 
 
 def entry_chain_rows(info: dict) -> list[int] | None:
@@ -113,9 +146,11 @@ class StateStore:
 
     # ---- lineage ----
     def partition_files(self, epoch: int | None = None) -> dict[int, str]:
-        """pid → newest file as of `epoch` (default: latest): the pid's
-        whole state for a base entry, its newest link otherwise.
-        Readers use state/delta.partition_chains."""
+        """pid → newest file as of `epoch` (default: latest): the file
+        that holds the pid's whole state for a base entry, its newest
+        link otherwise — a group file also holds the other pids of the
+        pid's group (its ``pid`` column tells them apart). Readers use
+        state/delta.partition_slices."""
         if epoch is None:
             epoch = self.latest_epoch()
         if epoch is None:
@@ -133,6 +168,7 @@ class StateStore:
         counts: dict,
         num_partitions: int | None = None,
         layout: str | None = None,
+        timings: dict | None = None,
     ) -> dict:
         """Atomic commit: carry forward untouched partitions from the
         previous manifest, record touched ones as given (an entry with a
@@ -141,7 +177,8 @@ class StateStore:
         the store's identity (pid routing); the replay validates it on
         resume. ``layout`` is accepted for callers written against
         format-1 stores and ignored: how a pid's state was written no
-        longer identifies a store."""
+        longer identifies a store. ``timings`` (where the epoch's time
+        and bytes went) is recorded as given."""
         prev = self.latest_epoch()
         partitions: dict[str, dict] = {}
         if prev is not None:
@@ -160,6 +197,8 @@ class StateStore:
             "num_partitions": num_partitions,
             "partitions": partitions,
         }
+        if timings is not None:
+            manifest["timings"] = timings
         tmp = f"{self._mpath(epoch)}.tmp.{os.getpid()}"
         with open(tmp, "w") as f:
             json.dump(manifest, f)

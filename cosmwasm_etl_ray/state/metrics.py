@@ -10,22 +10,29 @@ reference deriving task progress from its dest tables,
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow.parquet as pq
 
 from cosmwasm_etl_ray.state.manifest import entry_chain, entry_chain_rows
 
 
 def store_metrics(store) -> dict:
-    """Roll up manifests → totals, per-epoch rates, partition stats.
-    ``state_rows`` and the partition sizes count every file of each
-    pid's chain; ``state_live_rows`` is None while any pid holds an
-    appended link."""
+    """Roll up manifests → totals, per-epoch rates, partition stats,
+    and the p50/p99 over the manifests of each value of their
+    ``timings`` block (the merge's layer seconds and bytes written, the
+    slowest group link, the driver's wait; manifests written before it
+    was recorded are skipped). ``state_rows`` and the partition sizes
+    count every slice of each pid's chain; ``state_live_rows`` is None
+    while any pid holds an appended link."""
     epochs = store.committed_epochs()
     per_epoch = []
     total_applied = 0
     total_quarantined = 0
+    timings: dict[str, list[float]] = {}
     for e in epochs:
         m = store.manifest(e)
+        for k, v in m.get("timings", {}).items():
+            timings.setdefault(k, []).append(v)
         c = m.get("counts", {})
         applied = c.get("applied_events") or 0
         total_applied += applied
@@ -73,5 +80,9 @@ def store_metrics(store) -> dict:
         "state_rows": rows,
         "state_live_rows": live_rows,
         "partitions": partitions,
+        "timings": {
+            k: {"p50": float(np.percentile(v, 50)), "p99": float(np.percentile(v, 99))}
+            for k, v in timings.items()
+        },
         "per_epoch": per_epoch,
     }

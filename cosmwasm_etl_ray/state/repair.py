@@ -30,14 +30,14 @@ from cosmwasm_etl_ray.config import DEFAULT_CONFIG, EngineConfig
 from cosmwasm_etl_ray.functions.agg import sharded_map_groups
 from cosmwasm_etl_ray.pipelines.replay import apply_epoch, read_state
 from cosmwasm_etl_ray.sources.changes import COMMIT_WIDTH
-from cosmwasm_etl_ray.state.delta import map_chains, partition_chains
+from cosmwasm_etl_ray.state.delta import map_chains, partition_slices
 
 KEY = ["repo", "path"]
 
 
-def _max_commit(pid: int, t: "pa.Table") -> "pa.Table":
-    """One pid's numeric max commit, tombstones included (null when
-    the chain holds no numeric commit)."""
+def _max_commit(t: "pa.Table") -> "pa.Table":
+    """One reader task's numeric max commit, tombstones included (null
+    when its chains hold no numeric commit)."""
     m = pd.to_numeric(t["commit"].to_pandas(), errors="coerce").max()
     return pa.table({"m": pa.array([None if pd.isna(m) else int(m)], pa.int64())})
 
@@ -148,7 +148,7 @@ def diff_and_repair(
     # tombstones, pruned to the commit column; compare NUMERICALLY,
     # never lexicographic (a caller-supplied snapshot may carry
     # unpadded commits).
-    chains = partition_chains(store)
+    chains = partition_slices(store)
     maxes = [
         ray.get(r)["m"].to_pandas()
         for _, r in map_chains(

@@ -52,7 +52,9 @@ def test_cli_replay_then_metrics_and_gc(tmp_path):
     assert m["state_live_rows"] <= m["state_rows"]
 
     g = _run_cli("gc", "--store", store_dir)
-    assert g["deleted"] >= 0 and g["kept"] == 4
+    st = StateStore(store_dir)
+    named = {v["file"] for v in st.manifest(st.latest_epoch())["partitions"].values()}
+    assert g["deleted"] >= 0 and g["kept"] == len(named) <= 4
 
 
 def test_metrics_rollup_matches_manifests(tmp_path):
@@ -69,6 +71,35 @@ def test_metrics_rollup_matches_manifests(tmp_path):
     assert m["total_applied_events"] == 5_000
     assert [e["epoch"] for e in m["per_epoch"]] == [0, 1]
     assert m["partitions"]["skew_ratio"] >= 1
+
+
+def test_manifest_timings_account_for_written_bytes(tmp_path):
+    """Each replayed manifest's ``timings`` are non-negative, its
+    ``bytes_written`` is the summed size of the state and quarantine
+    files its epoch wrote, and store_metrics rolls each value up to its
+    p50/p99 over the manifests."""
+    import glob
+
+    log = generate_change_stream(
+        str(tmp_path / "log"),
+        GeneratorConfig(seed=95, n_keys=300, n_events=9_000, events_per_file=3_000,
+                        malformed_frac=0.01, evolve_at_frac=None),
+    )
+    store = StateStore(str(tmp_path / "store"))
+    replay_files(log["files"], store, EngineConfig(num_partitions=8, epoch_max_events=3_000))
+    keys = {"read_s", "fold_s", "write_s", "bytes_written", "slowest_group_s", "wait_s"}
+    for e in store.committed_epochs():
+        t = store.manifest(e)["timings"]
+        assert set(t) == keys and min(t.values()) >= 0
+        assert t["slowest_group_s"] <= t["read_s"] + t["fold_s"] + t["write_s"] + 1e-9
+        written = [
+            f for d in (store.state_dir, store.quarantine_dir)
+            for f in glob.glob(os.path.join(d, f"epoch={e}", "*.parquet"))
+        ]
+        assert t["bytes_written"] == sum(os.path.getsize(f) for f in written) > 0
+    m = store_metrics(store)["timings"]
+    assert set(m) == keys
+    assert all(0 <= v["p50"] <= v["p99"] for v in m.values())
 
 
 def test_cli_diagnose_dry_run_and_repair(tmp_path):

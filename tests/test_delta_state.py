@@ -31,7 +31,7 @@ from cosmwasm_etl_ray.state.manifest import StateStore
 # one epoch per file: the sparse log's 120-event files stay single epochs
 SPARSE = EngineConfig(num_partitions=8, epoch_max_events=120, batch_size=4096)
 DENSE = EngineConfig(num_partitions=8, epoch_max_events=15_000, batch_size=4096)
-BASE_KEYS = {"file", "rows", "live_rows", "epoch"}
+BASE_KEYS = {"file", "offset", "rows", "live_rows", "epoch"}
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +218,7 @@ def test_delta_guard_rails(change_log, rewrite_every_epoch, tmp_path):
     replay_files(change_log[:2], store, SPARSE)
     before = partition_chains(store)
     m = apply_epoch(one, store, 2, SPARSE)
-    assert m["format"] == 2 and "layout" not in m
+    assert m["format"] == 3 and "layout" not in m
     after = partition_chains(store)
     touched = [p for p, v in m["partitions"].items() if v["epoch"] == 2]
     assert touched
@@ -288,7 +288,7 @@ def test_dense_epochs_write_only_bases(dense_log, rewrite_every_epoch, tmp_path)
     assert len(store.committed_epochs()) == 4
     for e in store.committed_epochs():
         m = store.manifest(e)
-        assert m["format"] == 2
+        assert m["format"] == 3
         assert all(set(v) == BASE_KEYS for v in m["partitions"].values())
     ref = StateStore(str(tmp_path / "ref"))
     rewrite_every_epoch(dense_log, ref, DENSE)

@@ -132,7 +132,7 @@ def test_apply_epoch_direct_single(change_log, tmp_path):
     m = apply_epoch(ray.data.read_parquet(files), store, 0, DIRECT_CFG)
     q = glob.glob(os.path.join(store.quarantine_dir, "epoch=0", "*.parquet"))
     assert sum(len(pd.read_parquet(f)) for f in q) == m["counts"]["quarantined"]
-    assert m["format"] == 2 and m["num_partitions"] == 8
+    assert m["format"] == 3 and m["num_partitions"] == 8
     cols = ["repo", "path", "commit", "content"]
     pd.testing.assert_frame_equal(_final(store)[cols], _oracle(files)[cols])
 

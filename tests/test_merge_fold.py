@@ -38,7 +38,7 @@ def lww(df: pd.DataFrame) -> pd.DataFrame:
 
 def live(df: pd.DataFrame) -> pd.DataFrame:
     """The readers' view of folded state: tombstones dropped."""
-    return _live_rows(0, pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
+    return _live_rows(pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
 
 
 def pandas_lww(df: pd.DataFrame) -> pd.DataFrame:

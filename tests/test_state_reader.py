@@ -213,17 +213,18 @@ def test_partition_chains_reads_one_manifest(cg):
 def test_full_manifest_records_no_chain(cases):
     """Dense epochs write bases only — the copy-on-write entry shape,
     no chain; the late 3-event epoch appends. Links record their chain
-    (themselves last) and its files' row counts."""
+    of slices (themselves last): files, offsets and row counts."""
     store = cases["dense"][1]
     *dense, late = store.committed_epochs()
     for e in dense:
         for v in store.manifest(e)["partitions"].values():
-            assert set(v) == {"file", "rows", "live_rows", "epoch"}
+            assert set(v) == {"file", "offset", "rows", "live_rows", "epoch"}
     for s in (store, cases["sparse"][1]):
         links = [v for v in s.manifest(s.latest_epoch())["partitions"].values() if "chain" in v]
         assert links
         for v in links:
-            assert v["chain"][-1] == v["file"] and len(v["chain_rows"]) == len(v["chain"])
+            assert v["chain"][-1] == v["file"] and v["chain_offsets"][-1] == v["offset"]
+            assert len(v["chain_rows"]) == len(v["chain_offsets"]) == len(v["chain"])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -329,13 +330,13 @@ def test_quarantine_replay_and_bootstrap_on_delta(tmp_path, write_sparse_log, re
             store = StateStore(str(tmp_path / f"q-{name}-{build.__name__}"))
             build(files, store, cfg)
             m = replay_quarantine(store, cfg, fix_fn=fix)
-            assert m["format"] == 2 and m["counts"]["quarantined"] == 0
+            assert m["format"] == 3 and m["counts"]["quarantined"] == 0
             got.append(_rows(read_state(store)))
         pd.testing.assert_frame_equal(got[0], got[1])
 
         head = pd.concat([pd.read_parquet(f) for f in files[:2]], ignore_index=True)
         boot = StateStore(str(tmp_path / f"b-{name}"))
-        assert bootstrap_store(serial_oracle_replay(head), boot, cfg)["format"] == 2
+        assert bootstrap_store(serial_oracle_replay(head), boot, cfg)["format"] == 3
         for i, f in enumerate(files[2:], start=1):
             apply_epoch(ray.data.read_parquet([f]), boot, i, cfg, (f, f))
         cols = ["repo", "path", "commit", "content"]
@@ -395,7 +396,7 @@ def test_store_with_key64_column_resumes(logs, tmp_path):
 
 # ---- lint: state files are read through the state layer only ----
 
-_LINEAGE = {"partition_files", "partition_chains", "fold_chain", "state_dir"}
+_LINEAGE = {"partition_files", "partition_chains", "partition_slices", "read_slices", "state_dir"}
 _PARQUET_READS = {"read_parquet", "read_table", "ParquetFile", "read_schema", "read_metadata"}
 
 
