@@ -32,6 +32,7 @@ from cosmwasm_etl_ray.functions.similarity import (
     _kmeans_lite,
     _normalize,
 )
+from cosmwasm_etl_ray.state import durable
 
 
 def build_ivf_index(
@@ -66,10 +67,7 @@ def build_ivf_index(
         "n_vectors": int(n),
         "centroids": centroids.tolist(),
     }
-    tmp = os.path.join(index_dir, f"_meta.json.tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "_meta.json"))
+    durable.write_json(os.path.join(index_dir, "_meta.json"), meta)
     return meta
 
 
@@ -107,8 +105,6 @@ def append_ivf_index(db: "ray.data.Dataset", index_dir: str) -> dict:
     n_appended/n_vectors ratio is the rebuild trigger (the same
     grow-then-rebuild discipline as the reference's route cache,
     /root/reference/aggregator/router.go:106-143)."""
-    import shutil
-
     with open(os.path.join(index_dir, "_meta.json")) as f:
         meta = json.load(f)
     cref = ray.put(np.array(meta["centroids"], dtype=np.float64))
@@ -117,25 +113,21 @@ def append_ivf_index(db: "ray.data.Dataset", index_dir: str) -> dict:
     n_new = db.count()
     gen = int(meta.get("n_increments", 0))
     final_dir = os.path.join(index_dir, f"inc-{gen}")
-    tmp_dir = f"{final_dir}.tmp.{os.getpid()}"
+    tmp_dir = durable.tmp_path(final_dir)
     _coalesced(
         db.map_batches(_make_assigner(cref), batch_format="pandas",
                        concurrency=(1, 8)),
         n_new,
     ).write_parquet(tmp_dir, partition_cols=["list_id"])
     os.makedirs(tmp_dir, exist_ok=True)  # an empty increment still renames
-    for stale in (final_dir,):  # uncommitted prior attempt (crash after
-        if os.path.exists(stale):  # rename, before sidecar register)
-            shutil.rmtree(stale)
-    os.replace(tmp_dir, final_dir)
+    # replaces an uncommitted prior attempt (crash after rename, before
+    # sidecar register)
+    durable.commit(tmp_dir, final_dir)
 
     meta["n_increments"] = gen + 1
     meta["n_vectors"] = int(meta["n_vectors"]) + int(n_new)
     meta["n_appended"] = int(meta.get("n_appended", 0)) + int(n_new)
-    tmp = os.path.join(index_dir, f"_meta.json.tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "_meta.json"))
+    durable.write_json(os.path.join(index_dir, "_meta.json"), meta)
     return meta
 
 
@@ -296,10 +288,7 @@ def build_lsh_index(
         "dim": dim,
         "planes": planes.tolist(),
     }
-    tmp = os.path.join(index_dir, f"_meta.json.tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "_meta.json"))
+    durable.write_json(os.path.join(index_dir, "_meta.json"), meta)
     return meta
 
 
@@ -540,10 +529,7 @@ def build_pq_index(
         "n_vectors": int(n),
         "codebooks": codebooks.tolist(),
     }
-    tmp = os.path.join(index_dir, f"_meta.json.tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "_meta.json"))
+    durable.write_json(os.path.join(index_dir, "_meta.json"), meta)
     return meta
 
 
@@ -719,10 +705,7 @@ def build_ivfpq_index(
         "centroids": centroids.tolist(),
         "codebooks": codebooks.tolist(),
     }
-    tmp = os.path.join(index_dir, f"_meta.json.tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "_meta.json"))
+    durable.write_json(os.path.join(index_dir, "_meta.json"), meta)
     return meta
 
 
@@ -794,8 +777,6 @@ def append_pq_index(db: "ray.data.Dataset", index_dir: str) -> dict:
     append_ivf_index, so a crash leaves the increment invisible).
     Quantization drift discipline is identical to IVF append: the
     sidecar's n_appended/n_vectors ratio is the rebuild trigger."""
-    import shutil
-
     with open(os.path.join(index_dir, "_meta.json")) as f:
         meta = json.load(f)
     cref = ray.put(np.array(meta["codebooks"], dtype=np.float64))
@@ -814,20 +795,15 @@ def append_pq_index(db: "ray.data.Dataset", index_dir: str) -> dict:
     n_new = db.count()
     gen = int(meta.get("n_increments", 0))
     final_dir = os.path.join(index_dir, f"codes-inc-{gen}")
-    tmp_dir = f"{final_dir}.tmp.{os.getpid()}"
+    tmp_dir = durable.tmp_path(final_dir)
     _coalesced(
         db.map_batches(Encode, batch_format="pandas", concurrency=(1, 8)), n_new
     ).write_parquet(tmp_dir)
     os.makedirs(tmp_dir, exist_ok=True)  # an empty increment still renames
-    if os.path.exists(final_dir):  # stale uncommitted prior attempt
-        shutil.rmtree(final_dir)
-    os.replace(tmp_dir, final_dir)
+    durable.commit(tmp_dir, final_dir)  # replaces a stale uncommitted attempt
 
     meta["n_increments"] = gen + 1
     meta["n_vectors"] = int(meta["n_vectors"]) + int(n_new)
     meta["n_appended"] = int(meta.get("n_appended", 0)) + int(n_new)
-    tmp = os.path.join(index_dir, f"_meta.json.tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "_meta.json"))
+    durable.write_json(os.path.join(index_dir, "_meta.json"), meta)
     return meta

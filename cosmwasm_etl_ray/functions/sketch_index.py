@@ -31,6 +31,7 @@ import ray
 import ray.data
 
 from cosmwasm_etl_ray.functions.dedup import MinHasher, candidate_pairs_from_buckets
+from cosmwasm_etl_ray.state import durable
 
 
 def _bucketed(docs: "ray.data.Dataset", meta: dict) -> "ray.data.Dataset":
@@ -86,10 +87,7 @@ def build_minhash_index(
     _coalesced(bucketed, bucketed.count()).write_parquet(
         os.path.join(index_dir, "buckets"), partition_cols=["bshard"]
     )
-    tmp = os.path.join(index_dir, f"_meta.json.tmp.{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "_meta.json"))
+    durable.write_json(os.path.join(index_dir, "_meta.json"), meta)
     return meta
 
 

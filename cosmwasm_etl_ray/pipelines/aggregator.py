@@ -39,13 +39,13 @@ import json
 import os
 
 import pandas as pd
-import pyarrow.parquet as pq
 
 import ray.data
 
 from cosmwasm_etl_ray.config import EngineConfig
 from cosmwasm_etl_ray.functions.agg import grouped_agg
 from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
+from cosmwasm_etl_ray.state import durable
 
 WINDOW = 1_000_000  # commit-window size (30-min tumbling window analogue)
 
@@ -108,9 +108,7 @@ class DerivedTask:
         return os.path.join(self.root, f"epoch={epoch}.parquet")
 
     def _commit(self, epoch: int, df: pd.DataFrame) -> None:
-        tmp = f"{self._epoch_out(epoch)}.tmp.{os.getpid()}"
-        df.to_parquet(tmp, index=False)
-        os.replace(tmp, self._epoch_out(epoch))
+        durable.write(self._epoch_out(epoch), lambda tmp: df.to_parquet(tmp, index=False))
 
     def run(self, parent_cursor: int | None = None) -> list[int]:
         """Process every replay epoch the parent has committed but this
@@ -141,8 +139,8 @@ def _epoch_source_files(manifest: dict) -> list[str] | None:
     if not lo or not os.path.exists(os.path.dirname(lo)):
         return None
     d = os.path.dirname(lo)
-    # suffix filter: a concurrent writer's tmp+rename in-flight file
-    # ('x.parquet.tmp.<pid>') sorts INSIDE the bare lexical range and
+    # suffix filter: a concurrent writer's in-flight tmp
+    # (state/durable.tmp_path) sorts INSIDE the bare lexical range and
     # would be read half-written by the derived tick
     names = sorted(n for n in os.listdir(d) if n.endswith(".parquet"))
     los, his = os.path.basename(lo), os.path.basename(hi)
@@ -237,10 +235,7 @@ class RepoHistoryTask(DerivedTask):
         # Carry is written BEFORE the epoch parquet: the parquet is the
         # commit marker (cursor), so a crash in between reprocesses the
         # epoch and deterministically overwrites both.
-        tmp = f"{self._carry_path(epoch)}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(carry, f)
-        os.replace(tmp, self._carry_path(epoch))
+        durable.write_json(self._carry_path(epoch), carry)
         self._commit(epoch, pd.DataFrame(rows, columns=["repo", "epoch", "cum_events"]))
 
     def view(self) -> pd.DataFrame:

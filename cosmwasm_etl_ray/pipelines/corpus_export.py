@@ -23,16 +23,16 @@ idempotency is directory-grain (rename atomicity) instead of row-grain.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
-import shutil
 
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray.data
+
+from cosmwasm_etl_ray.state import durable
 
 EXPORT_SHARDS = 16
 _MANIFEST = "export_manifest.json"
@@ -52,20 +52,15 @@ def _shard_dir(out_dir: str, sid: int) -> str:
     return os.path.join(out_dir, f"shard={sid}")
 
 
-def _commit_dir(tmp: str, final: str) -> None:
-    """Atomic rename; ONLY a lost commit race (target already exists)
-    is tolerated — the winner holds identical deterministic content.
-    Any other failure (EACCES, EXDEV, transient storage error) raises:
-    swallowing it would let the empty-shard backfill commit a bogus
-    empty directory over real rows."""
-    try:
-        os.rename(tmp, final)
-    except OSError as e:
-        if e.errno not in (errno.EEXIST, errno.ENOTEMPTY) and not os.path.isdir(
-            final
-        ):
-            raise
-        shutil.rmtree(tmp, ignore_errors=True)
+def _commit_shard(final: str, t: pa.Table) -> None:
+    """Commit one shard directory; the first writer wins a race (the
+    winner holds identical deterministic content)."""
+
+    def write(tmp: str) -> None:
+        os.makedirs(tmp, exist_ok=True)
+        pq.write_table(t, os.path.join(tmp, "part-0.parquet"))
+
+    durable.write(final, write, overwrite=False)
 
 
 def _pin_num_shards(out_dir: str, num_shards: int) -> None:
@@ -79,10 +74,7 @@ def _pin_num_shards(out_dir: str, num_shards: int) -> None:
                 f"resuming with {num_shards} would duplicate or drop rows"
             )
         return
-    tmp = f"{meta_path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump({"num_shards": num_shards}, fh)
-    os.replace(tmp, meta_path)
+    durable.write_json(meta_path, {"num_shards": num_shards})
 
 
 def export_corpus(
@@ -122,16 +114,12 @@ def export_corpus(
             # the exchange routes every row of a shard VALUE to one
             # task; a task may hold several values (hash co-location)
             for sid, g in df.groupby("shard", sort=False):
-                final = _shard_dir(out_dir, int(sid))
-                tmp = f"{final}.tmp.{os.getpid()}"
-                os.makedirs(tmp, exist_ok=True)
                 t = pa.Table.from_pandas(
                     g.drop(columns=["shard"]).sort_values(["doc_id", "chunk_id"]),
                     schema=_CHUNK_SCHEMA,
                     preserve_index=False,
                 )
-                pq.write_table(t, os.path.join(tmp, "part-0.parquet"))
-                _commit_dir(tmp, final)
+                _commit_shard(_shard_dir(out_dir, int(sid)), t)
                 rows.append({"shard": int(sid), "n_rows": len(g)})
             return pd.DataFrame(rows)
 
@@ -144,13 +132,7 @@ def export_corpus(
         for s in missing:
             final = _shard_dir(out_dir, s)
             if not os.path.isdir(final):
-                tmp = f"{final}.tmp.{os.getpid()}"
-                os.makedirs(tmp, exist_ok=True)
-                pq.write_table(
-                    _CHUNK_SCHEMA.empty_table(),
-                    os.path.join(tmp, "part-0.parquet"),
-                )
-                _commit_dir(tmp, final)
+                _commit_shard(final, _CHUNK_SCHEMA.empty_table())
 
     # manifest from the committed files' own metadata (covers shards
     # written by earlier runs), tmp+rename last
@@ -163,10 +145,7 @@ def export_corpus(
         "n_rows": int(sum(shards.values())),
         "num_shards": num_shards,
     }
-    tmp = os.path.join(out_dir, f"{_MANIFEST}.tmp.{os.getpid()}")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh)
-    os.replace(tmp, os.path.join(out_dir, _MANIFEST))
+    durable.write_json(os.path.join(out_dir, _MANIFEST), manifest)
     return manifest
 
 

@@ -36,7 +36,6 @@ Physical design (SURVEY §7.4 "hard parts"):
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -49,6 +48,7 @@ import ray.data
 
 from cosmwasm_etl_ray.config import EngineConfig
 from cosmwasm_etl_ray.functions.agg import grouped_agg
+from cosmwasm_etl_ray.state import durable
 
 BASE_REPO = "mono"
 MAX_HOPS = 4
@@ -328,48 +328,24 @@ class PriceTask:
             if key != carry.get("edges_key"):
                 route_base = carry.get("base") or self.base or BASE_REPO
                 routes = shortest_routes(edges, base=route_base)
-                tmp = f"{self._routes_path(epoch)}.tmp.{os.getpid()}"
-                routes.to_parquet(tmp, index=False)
-                os.replace(tmp, self._routes_path(epoch))
+                durable.write(self._routes_path(epoch), lambda tmp: routes.to_parquet(tmp, index=False))
                 carry = {**carry, "edges_key": key}
 
-        tmp = f"{self._carry_path(epoch)}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(carry, f)
-        os.replace(tmp, self._carry_path(epoch))
+        durable.write_json(self._carry_path(epoch), carry)
 
         # the output DIRECTORY rename is the commit marker (cursor):
         # ``parts_dir`` is the tmp dir the exchange's tasks wrote their
-        # parts into (None: an epoch with no source events)
+        # parts into (None: an epoch with no source events); the sweep
+        # takes a crashed prior run's tmps (dirs and sidecar files)
         outdir = self._out(epoch)
-        tmpdir = parts_dir or f"{outdir}.tmp.{os.getpid()}"
-        # a crashed PRIOR run leaves orphan tmps under its old pid —
-        # epoch output dirs AND carry=/routes= sidecar files — sweep
-        # the whole task root, but ONLY tmps whose writer is dead
-        # (deleting a LIVE pid's tmp would break the concurrent-writer
-        # safety the pid suffix exists for)
-        import glob as _glob
-
-        for stale in _glob.glob(os.path.join(self.root, "*.tmp.*")):
-            if stale == tmpdir:
-                continue
-            owner = stale.rsplit(".", 1)[-1]
-            if owner.isdigit() and os.path.exists(f"/proc/{owner}"):
-                continue  # writer still alive — leave its tmp alone
-            if os.path.isdir(stale):
-                shutil.rmtree(stale, ignore_errors=True)
-            else:
-                try:
-                    os.remove(stale)
-                except OSError:
-                    pass
+        tmpdir = parts_dir or durable.tmp_path(outdir)
+        durable.sweep([self.root])
         if parts_dir is None:
             shutil.rmtree(tmpdir, ignore_errors=True)
         # an all-empty output writes no files (and no dir) — the epoch
         # marker must exist regardless
         os.makedirs(tmpdir, exist_ok=True)
-        shutil.rmtree(outdir, ignore_errors=True)
-        os.replace(tmpdir, outdir)
+        durable.commit(tmpdir, outdir)
 
     def view(self) -> pd.DataFrame:
         import glob as _glob

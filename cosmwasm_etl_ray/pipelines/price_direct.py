@@ -51,6 +51,7 @@ import ray
 
 from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
+from cosmwasm_etl_ray.state import durable
 
 PRICE_REPO_SHARDS = 32  # repo shards of the running-sum stage
 
@@ -224,9 +225,7 @@ def _price_relsize_write(
     commits, chars = curve
     out = relsize_asof(sizes.to_pandas(), commits, chars)
     part = os.path.join(tmpdir, f"part-{shard_idx:05d}.parquet")
-    tmp = f"{part}.tmp.{os.getpid()}"
-    out.to_parquet(tmp, index=False)
-    os.replace(tmp, part)
+    durable.write(part, lambda tmp: out.to_parquet(tmp, index=False))
     return len(out)
 
 
@@ -330,7 +329,7 @@ def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
     )
 
     outdir = task._out(epoch)
-    tmpdir = f"{outdir}.tmp.{os.getpid()}"
+    tmpdir = durable.tmp_path(outdir)
     import shutil
 
     shutil.rmtree(tmpdir, ignore_errors=True)

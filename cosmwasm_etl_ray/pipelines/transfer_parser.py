@@ -43,7 +43,6 @@ import time
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -55,6 +54,7 @@ from cosmwasm_etl_ray.stages.transfers import (
     TransferMapperFamily,
     decode_raw_logs_batch,
 )
+from cosmwasm_etl_ray.state import durable
 from cosmwasm_etl_ray.state.manifest import StateStore
 
 LEDGER_COLS = ["tx_id", "log_idx", "pair", "token", "ttype", "amount"]
@@ -136,23 +136,14 @@ def _finish_transfer_pid(root: str, qdir: str, epoch: int, pid: int, *parts):
         out_dir = os.path.join(root, f"epoch={epoch}")
         os.makedirs(out_dir, exist_ok=True)
         out = os.path.join(out_dir, f"part-{pid:05d}.parquet")
-        tmp = f"{out}.tmp.{os.getpid()}"
-        pq.write_table(
-            pa.Table.from_pandas(
-                kept[LEDGER_COLS].reset_index(drop=True), preserve_index=False
-            ),
-            tmp,
-        )
-        os.replace(tmp, out)
+        table = pa.Table.from_pandas(kept[LEDGER_COLS].reset_index(drop=True), preserve_index=False)
+        durable.write(out, lambda tmp: pq.write_table(table, tmp))
         rows = len(kept)
     if bad_tables:
         qt = pa.concat_tables(bad_tables)
         q_dir = os.path.join(qdir, f"epoch={epoch}")
         os.makedirs(q_dir, exist_ok=True)
-        qout = os.path.join(q_dir, f"part-{pid:05d}.parquet")
-        tmp = f"{qout}.tmp.{os.getpid()}"
-        pq.write_table(qt, tmp)
-        os.replace(tmp, qout)
+        durable.write(os.path.join(q_dir, f"part-{pid:05d}.parquet"), lambda tmp: pq.write_table(qt, tmp))
         q_rows = qt.num_rows
     return {"pid": pid, "file": out, "rows": rows, "quarantined": q_rows}
 
@@ -221,9 +212,7 @@ def _compact_pid(out_dir: str, pid: int, files: list[str]):
     tables = [pq.read_table(f) for f in files]
     os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"part-{pid:05d}.parquet")
-    tmp = f"{out}.tmp.{os.getpid()}"
-    pq.write_table(pa.concat_tables(tables), tmp)
-    os.replace(tmp, out)
+    durable.write(out, lambda tmp: pq.write_table(pa.concat_tables(tables), tmp))
     return {"pid": pid, "file": out, "rows": sum(t.num_rows for t in tables)}
 
 
@@ -436,8 +425,9 @@ class TransferParserPipeline:
         Concurrent compactors are safe: each writes its generation
         files under a compactor-unique directory (gen + pid suffix),
         so racers never overwrite each other's data files; the
-        manifest is committed with an EXCLUSIVE create (tmp + hard
-        link — atomic like rename, but fails instead of overwriting),
+        manifest is committed with an EXCLUSIVE create
+        (``durable.write_json(..., overwrite=False)``: tmp + hard link —
+        atomic like rename, but fails instead of overwriting),
         so exactly one racer wins a generation number. A loser
         discards its directory and retries against the winner's state
         (usually: nothing left to fold — return the winner's
@@ -445,7 +435,7 @@ class TransferParserPipeline:
         once a committed manifest EXISTS for that dir's generation —
         an in-flight compactor's dir (gen not yet committed) is never
         touched, and a loser whose dir is swept after losing simply
-        recomputes here. Last-writer-wins os.replace committing is
+        recomputes here. Last-writer-wins (overwriting) commits are
         exactly what this protocol replaces: it let a slow racer
         overwrite the winner's manifest with one pointing at a
         GC-swept directory, losing every folded row."""
@@ -513,23 +503,15 @@ class TransferParserPipeline:
                     for r in results
                 },
             }
-            tmp = f"{self._cpath(gen)}.tmp.{tok}"
-            with open(tmp, "w") as f:
-                json.dump(manifest, f)
-            try:
-                os.link(tmp, self._cpath(gen))
-            except FileExistsError:
-                # a racer committed this gen first: our fold may
-                # duplicate (or lag) the winner's coverage — discard it
-                # and re-plan from the winner's manifest
-                os.remove(tmp)
-                shutil.rmtree(out_dir, ignore_errors=True)
-                latest = self.latest_compaction()
-                if latest is not None and latest["through_epoch"] >= t:
-                    return latest
-                continue
-            os.remove(tmp)
-            return manifest
+            if durable.write_json(self._cpath(gen), manifest, overwrite=False, token=tok):
+                return manifest
+            # a racer committed this gen first: our fold may duplicate
+            # (or lag) the winner's coverage — discard it and re-plan
+            # from the winner's manifest
+            shutil.rmtree(out_dir, ignore_errors=True)
+            latest = self.latest_compaction()
+            if latest is not None and latest["through_epoch"] >= t:
+                return latest
 
     def gc_compacted(self) -> dict:
         """Delete data now fully covered by the latest committed

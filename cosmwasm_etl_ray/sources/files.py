@@ -31,6 +31,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from cosmwasm_etl_ray.state import durable
+
 EVENT_COLUMNS = ("repo", "path", "commit", "lang", "content", "op")
 
 
@@ -145,13 +147,11 @@ def _read_one(path: str, fmt: str) -> pa.Table:
 @ray.remote
 def _convert_one(src: str, dst: str, fmt: str) -> int:
     """Convert one file, commit tmp+rename (idempotent: a re-run
-    overwrites; a crash leaves only a *.tmp.<pid> the next run ignores)."""
+    overwrites; a crash leaves only a durable tmp the next run ignores)."""
     import pyarrow.parquet as pq
 
     t = _read_one(src, fmt)
-    tmp = f"{dst}.tmp.{os.getpid()}"
-    pq.write_table(t, tmp)
-    os.replace(tmp, dst)
+    durable.write(dst, lambda tmp: pq.write_table(t, tmp))
     return t.num_rows
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import os
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray.data
+
+from cosmwasm_etl_ray.state import durable
 
 
 class TieredSource:
@@ -41,9 +42,7 @@ class TieredSource:
         if not os.path.exists(p):
             table = self.fetch(chunk_id)
             self.fallback_calls += 1
-            tmp = p + f".tmp.{os.getpid()}"
-            pq.write_table(table, tmp)
-            os.replace(tmp, p)
+            durable.write(p, lambda tmp: pq.write_table(table, tmp))
         return p
 
     def read_range(self, first_chunk: int, last_chunk: int) -> "ray.data.Dataset":
@@ -99,8 +98,6 @@ class PaginatedBackfill:
         """Backfill from the stored offset; returns the staged files
         (all pages, including previously staged ones, in offset
         order)."""
-        import json
-
         offset = self.collected_offset()
         pages = 0
         while offset is not None and (max_pages is None or pages < max_pages):
@@ -114,13 +111,8 @@ class PaginatedBackfill:
                         raise
                     self.sleep(min(60.0, 0.5 * (2**attempt)))
             p = os.path.join(self.staging_dir, f"page-{offset:010d}.parquet")
-            tmp = f"{p}.tmp.{os.getpid()}"
-            pq.write_table(table, tmp)
-            os.replace(tmp, p)
-            tmp = f"{self._marker()}.tmp.{os.getpid()}"
-            with open(tmp, "w") as f:
-                json.dump({"next_offset": nxt}, f)
-            os.replace(tmp, self._marker())
+            durable.write(p, lambda tmp: pq.write_table(table, tmp))
+            durable.write_json(self._marker(), {"next_offset": nxt})
             offset = nxt
             pages += 1
         import glob as _glob

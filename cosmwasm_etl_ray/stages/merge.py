@@ -44,6 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from cosmwasm_etl_ray.state import durable
 from cosmwasm_etl_ray.state.manifest import entry_chain_rows, entry_slices
 
 KEY_COLS = ["repo", "path"]
@@ -298,9 +299,7 @@ class MergeWithState:
         bad = bad.drop_columns(["valid"]).append_column(
             "error", pa.array(["invalid_commit_or_op"] * bad.num_rows, pa.string())
         )
-        tmp = f"{out}.tmp.{os.getpid()}"
-        pq.write_table(bad, tmp, **STATE_CODEC)
-        os.replace(tmp, out)
+        durable.write(out, lambda tmp: pq.write_table(bad, tmp, **STATE_CODEC))
         return os.path.getsize(out)
 
     def _fold(self, prior: list[pa.Table], rows: pa.Table) -> pa.Table:
@@ -349,7 +348,7 @@ class MergeWithState:
         cuts.append(len(pids))
 
         out = os.path.join(self.state_root, f"epoch={self.epoch}", name)
-        tmp = f"{out}.tmp.{os.getpid()}"
+        tmp = durable.tmp_path(out)
         read_s = fold_s = 0.0
         writer = schema = None
         written, live = np.zeros(len(pids), np.int64), np.zeros(len(pids), np.int64)
@@ -396,7 +395,7 @@ class MergeWithState:
             write_s += t3 - t2
         t0 = time.perf_counter()
         writer.close()
-        os.replace(tmp, out)
+        durable.commit(tmp, out)
         write_s += time.perf_counter() - t0
 
         offsets = np.r_[0, np.cumsum(written)[:-1]]

@@ -15,15 +15,14 @@ from __future__ import annotations
 import hashlib
 import os
 
-import numpy as np
 import pandas as pd
-import pyarrow.parquet as pq
 
 import ray.data
 
 from cosmwasm_etl_ray.config import EngineConfig
 from cosmwasm_etl_ray.pipelines.replay import read_state
 from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
+from cosmwasm_etl_ray.state import durable
 
 
 def _content_hash(s: pd.Series) -> pd.Series:
@@ -161,9 +160,7 @@ def append_exceptions(
         allrows = pd.concat([cur, new], ignore_index=True)
     else:
         allrows = new
-    tmp = f"{p}.tmp.{os.getpid()}"
-    allrows.to_parquet(tmp, index=False)
-    os.replace(tmp, p)
+    durable.write(p, lambda tmp: allrows.to_parquet(tmp, index=False))
     return len(new)
 
 
@@ -211,5 +208,6 @@ def snapshot_state(store, epoch: int | None = None) -> str:
         )
     e = epoch if epoch is not None else store.latest_epoch()
     out = store.snapshot_path(e if e is not None else 0)
-    snap.sort_values("repo").to_parquet(out, index=False)
+    snap = snap.sort_values("repo")
+    durable.write(out, lambda tmp: snap.to_parquet(tmp, index=False))
     return out

@@ -27,6 +27,7 @@ import ray.data
 
 from cosmwasm_etl_ray.config import DEFAULT_CONFIG, EngineConfig
 from cosmwasm_etl_ray.pipelines.replay import apply_epoch
+from cosmwasm_etl_ray.state import durable
 
 
 def gc_state(store, keep_manifests: int = 1) -> dict:
@@ -38,7 +39,10 @@ def gc_state(store, keep_manifests: int = 1) -> dict:
     Files from epochs NEWER than the latest committed manifest belong to
     an in-flight (not-yet-committed) epoch — deleting them between
     MergeWithState's partition writes and commit_epoch would commit a
-    manifest pointing at deleted files, so they are always kept."""
+    manifest pointing at deleted files, so they are always kept. In the
+    state and quarantine dirs of the other epochs, the tmps of dead
+    writers (durable.sweep) and then the emptied dirs go too; the
+    deleted count includes those tmps."""
     from cosmwasm_etl_ray.state.delta import partition_chains
 
     epochs = store.committed_epochs()
@@ -48,20 +52,18 @@ def gc_state(store, keep_manifests: int = 1) -> dict:
         for chain in partition_chains(store, e).values():
             referenced.update(chain)
 
-    all_files = glob.glob(os.path.join(store.state_dir, "epoch=*", "*.parquet"))
+    def settled(root: str) -> list[str]:
+        dirs = glob.glob(os.path.join(root, "epoch=*"))
+        return [d for d in dirs if (e := d.rsplit("=", 1)[1]).isdigit() and int(e) <= latest]
+
     deleted = 0
-    for f in all_files:
-        try:
-            file_epoch = int(f.split("epoch=")[1].split(os.sep)[0])
-        except (IndexError, ValueError):
-            continue
-        if f not in referenced and file_epoch <= latest:
-            os.remove(f)
-            deleted += 1
-    # drop now-empty epoch dirs
-    for d in glob.glob(os.path.join(store.state_dir, "epoch=*")):
-        if not os.listdir(d):
-            os.rmdir(d)
+    for d in settled(store.state_dir):
+        for f in glob.glob(os.path.join(d, "*.parquet")):
+            if f not in referenced:
+                os.remove(f)
+                deleted += 1
+    # a crashed writer's tmps, then the epoch dirs left empty
+    deleted += durable.sweep(settled(store.state_dir) + settled(store.quarantine_dir))
     return {"kept": len(referenced), "deleted": deleted}
 
 

@@ -55,6 +55,8 @@ import re
 import time
 from typing import NamedTuple
 
+from cosmwasm_etl_ray.state import durable
+
 _MANIFEST_RE = re.compile(r"^epoch-(\d{6})\.json$")
 MANIFEST_FORMAT = 3
 
@@ -199,10 +201,7 @@ class StateStore:
         }
         if timings is not None:
             manifest["timings"] = timings
-        tmp = f"{self._mpath(epoch)}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(manifest, f)
-        os.replace(tmp, self._mpath(epoch))
+        durable.write_json(self._mpath(epoch), manifest)
         return manifest
 
     # ---- snapshots dir for validation ----

@@ -20,6 +20,7 @@ import ray.data
 
 from cosmwasm_etl_ray.config import EngineConfig
 from cosmwasm_etl_ray.pipelines.replay import apply_epoch
+from cosmwasm_etl_ray.state import durable
 
 
 def pending_files(store) -> list[str]:
@@ -70,5 +71,5 @@ def replay_quarantine(
     for f in files:
         rel = os.path.relpath(f, store.quarantine_dir)
         dest = os.path.join(resolved_root, rel.replace(os.sep, "__"))
-        os.replace(f, dest)
+        durable.commit(f, dest)
     return manifest

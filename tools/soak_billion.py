@@ -103,6 +103,7 @@ def main() -> None:
     from cosmwasm_etl_ray.config import EngineConfig, GeneratorConfig
     from cosmwasm_etl_ray.pipelines.replay import lookup_state, replay_files
     from cosmwasm_etl_ray.sources import generator as gen
+    from cosmwasm_etl_ray.state import durable
     from cosmwasm_etl_ray.state.gc import gc_state
     from cosmwasm_etl_ray.state.manifest import StateStore
 
@@ -145,9 +146,7 @@ def main() -> None:
         sp = ray.get(sent_ref)
         table, bad = gen._chunk(gcfg, chunk_i, start, stop, kr, None,
                                 evolve_at)
-        tmp = f"{out_path}.tmp.{os.getpid()}"
-        pq.write_table(table, tmp, row_group_size=65536)
-        os.replace(tmp, out_path)
+        durable.write(out_path, lambda tmp: pq.write_table(table, tmp, row_group_size=65536))
         mask = pc.is_in(table["path"], value_set=sp)
         sent_rows = table.filter(mask).select(
             ["path", "commit", "op", "content"]
