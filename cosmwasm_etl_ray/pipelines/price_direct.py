@@ -5,7 +5,7 @@ derived tick; the Dataset-shuffle shape spends ~19 s per epoch in
 executor ramp + hash-shuffle for ~4M skinny rows).
 
 The structural win over the Dataset shape: the prior epoch's state is
-ALREADY partitioned by ``stable_hash64(repo, path) % P`` (the replay's
+ALREADY partitioned by the replay's pid (``assign_partition``: its
 partition chains), so the state side of the J6 state ⋈ events join
 needs NO shuffle at all — prep tasks split the epoch's events by the
 same pid, and join task p takes pid p's prior lengths from the state
@@ -50,7 +50,7 @@ import pyarrow.parquet as pq
 import ray
 
 from cosmwasm_etl_ray.compat import cached_remote, task_cap
-from cosmwasm_etl_ray.functions.hashing import stable_hash64
+from cosmwasm_etl_ray.functions.hashing import assign_partition, stable_hash64
 from cosmwasm_etl_ray.state import durable
 
 PRICE_REPO_SHARDS = 32  # repo shards of the running-sum stage
@@ -75,14 +75,7 @@ def _price_prep_shard(path: str, row_groups: list[int], P: int):
         row_groups, columns=["repo", "path", "commit", "content", "op"]
     )
     t = _event_lengths(_valid_events(t))
-    repo = t["repo"].to_numpy(zero_copy_only=False)
-    pathc = t["path"].to_numpy(zero_copy_only=False)
-    repo = np.where(pd.isna(repo), "", repo)
-    pathc = np.where(pd.isna(pathc), "", pathc)
-    pid = (
-        stable_hash64(np.asarray(repo), np.asarray(pathc)) % np.uint64(P)
-    ).astype(np.int32)
-    return _split_table_by_shard(t, pid, P)
+    return _split_table_by_shard(t, assign_partition(t["repo"], t["path"], P), P)
 
 
 def _prior_lengths(t: pa.Table) -> pa.Table:

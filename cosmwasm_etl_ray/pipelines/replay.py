@@ -13,8 +13,9 @@ replay, bootstrap) both run it:
 
     prep task per input shard (parquet row groups, or a run of
     Dataset blocks for apply_epoch, each block prepped on its own):
-        read → FlagAndPartition → fold_partial_arrow (COMBINER)
-             → split by pid-group                # num_returns=G
+        read → flag → encode repo, path once → pid, and the
+        COMBINER (stages/merge.combine_keep), from those codes
+             → one take, split by pid-group      # num_returns=G
     chain task per (epoch, pid-group):
         concat the group's slices (block order kept) → ONE
         MergeWithState call: per pid, append its folded rows as a
@@ -62,13 +63,14 @@ import ray.data
 
 from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.config import DEFAULT_CONFIG, EngineConfig
-from cosmwasm_etl_ray.functions.hashing import split_table_by_shard
-from cosmwasm_etl_ray.stages.merge import (
-    OP_COL,
-    MergeWithState,
-    fold_partial_arrow,
+from cosmwasm_etl_ray.functions.hashing import (
+    assign_partition,
+    encode_keys,
+    partition_of_codes,
+    split_table_by_shard,
 )
-from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
+from cosmwasm_etl_ray.stages.merge import OP_COL, MergeWithState, combine_keep
+from cosmwasm_etl_ray.stages.normalize import flag
 from cosmwasm_etl_ray.state.delta import partition_slices, read_chains
 from cosmwasm_etl_ray.state.manifest import manifest_entries
 
@@ -82,16 +84,19 @@ def _pid_groups(P: int, cap: int) -> list[int]:
 
 def _prep_split(t: "pa.Table", bounds: list[int], ruleset, combine: bool):
     """The pre-exchange half of an epoch, fused into one task body:
-    flag+partition → LWW-combine (unless override mode) → slice by
-    pid-group (single stable argsort + zero-copy take). Returns a
-    ``num_returns=G`` tuple; empty groups return None so the object
-    store holds a tiny marker, not an empty table. Depends only on the
-    epoch's own input, never on prior state."""
-    out = FlagAndPartition(bounds[-1], ruleset=ruleset)(t)
-    if combine:
-        out = fold_partial_arrow(out)
-    pid = out["pid"].to_numpy(zero_copy_only=False) if out.num_rows else []
-    return split_table_by_shard(out, np.searchsorted(bounds, pid, "right") - 1, len(bounds) - 1)
+    flag → encode ``repo`` and ``path`` once → pid and LWW-combine
+    (unless override mode) both from those codes → ONE ``take`` of the
+    kept rows in (pid-group, position) order, sliced per pid-group.
+    Returns a ``num_returns=G`` tuple; empty groups return None so the
+    object store holds a tiny marker, not an empty table. Depends only
+    on the epoch's own input, never on prior state."""
+    t = flag(t, ruleset)
+    repo, path = encode_keys(t["repo"]), encode_keys(t["path"])
+    pid = partition_of_codes(repo, path, bounds[-1])
+    t = t.append_column("pid", pa.array(pid, type=pa.int32()))
+    keep = combine_keep(t, repo, path) if combine else None
+    group = np.searchsorted(bounds, pid, "right") - 1
+    return split_table_by_shard(t, group, len(bounds) - 1, rows=keep)
 
 
 def _prep_split_shard(path: str, row_groups: list[int], bounds: list[int], ruleset, combine: bool):
@@ -512,7 +517,6 @@ def lookup_state(
     Tombstoned keys simply miss. Returns the live-rows Dataset and the
     distinct state files read (a group file once, however many of its
     pids were probed)."""
-    from cosmwasm_etl_ray.functions.hashing import assign_partition
     pids = np.unique(
         assign_partition(
             keys["repo"].to_numpy(dtype=object),

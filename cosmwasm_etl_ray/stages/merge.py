@@ -44,6 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from cosmwasm_etl_ray.functions.hashing import encode_keys
 from cosmwasm_etl_ray.state import durable
 from cosmwasm_etl_ray.state.manifest import entry_chain_rows, entry_slices
 
@@ -94,33 +95,52 @@ def appends(chain_rows: list[int] | None, epoch_rows: int) -> bool:
     )
 
 
-def _rank(col: pa.ChunkedArray, ordered: bool = True) -> tuple[np.ndarray, int]:
-    """Exact int64 codes of a string column: equal values share a code.
-    ``ordered`` codes also sort like the values (Arrow compares UTF-8
-    bytes, which is code-point order) — it costs a sort of the
-    dictionary. Returns (codes, #distinct)."""
-    enc = pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
-    d = len(enc.dictionary)
-    codes = enc.indices.to_numpy(zero_copy_only=False)
-    if not ordered:
-        return codes.astype(np.int64), d
-    rank = np.empty(d, np.int64)
-    rank[pc.sort_indices(enc.dictionary).to_numpy()] = np.arange(d)
-    return rank[codes], d
+def _rank(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:
+    """Exact int64 codes of a string column that sort like the values
+    (Arrow compares UTF-8 bytes, which is code-point order; a null
+    sorts last). Returns (codes, #codes)."""
+    codes, values = encode_keys(col)
+    d = len(values)
+    rank = np.empty(d + 1, np.int64)
+    rank[pc.sort_indices(values).to_numpy()] = np.arange(d)
+    rank[d] = d
+    return rank[codes], d + 1
 
 
-def _lww_winners(t: pa.Table, ordered: bool = True) -> np.ndarray:
-    """Row indices of the LWW winners of ``t``: per exact key the
-    max-commit row, an equal commit won by the later input position
-    (np.lexsort is stable). ``ordered``: the winners come in (repo,
-    path) order; otherwise in an arbitrary but fixed key order."""
-    repo, _ = _rank(t["repo"], ordered)
-    path, n_paths = _rank(t["path"], ordered)
-    key = repo * n_paths + path
-    commit = pc.cast(t["commit"], pa.int64()).to_numpy(zero_copy_only=False)
+def _last_per_key(key: np.ndarray, commit: np.ndarray) -> np.ndarray:
+    """Positions of the LWW winners: per key the max-commit row, an
+    equal commit won by the later position (np.lexsort is stable), in
+    key order."""
     order = np.lexsort((commit, key))
     k = key[order]
     return order[np.r_[k[1:] != k[:-1], True]]
+
+
+def _commits(col) -> np.ndarray:
+    return pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
+
+
+def _lww_winners(t: pa.Table) -> np.ndarray:
+    """Row indices of the LWW winners of ``t``, in (repo, path) order."""
+    repo, _ = _rank(t["repo"])
+    path, n_paths = _rank(t["path"])
+    return _last_per_key(repo * n_paths + path, _commits(t["commit"]))
+
+
+def combine_keep(t: pa.Table, repo, path) -> np.ndarray:
+    """THE combiner, from the key codes prep already has (``repo`` and
+    ``path`` are ``encode_keys`` results for ``t``'s rows): ascending
+    positions of the rows it keeps — the LWW winner of each exact key
+    among the ``valid`` rows, and every quarantine row. Any exact
+    codes do, because the kept rows stay in input order."""
+    valid = t["valid"].to_numpy(zero_copy_only=False).astype(bool)
+    vidx = np.flatnonzero(valid)
+    if not len(vidx):
+        return np.arange(t.num_rows)
+    key = repo[0][vidx] * (len(path[1]) + 1) + path[0][vidx]
+    keep = ~valid
+    keep[vidx[_last_per_key(key, _commits(t["commit"].take(pa.array(vidx))))]] = True
+    return np.flatnonzero(keep)
 
 
 def fold_lww_arrow(t: pa.Table) -> pa.Table:
@@ -137,22 +157,11 @@ def fold_lww_arrow(t: pa.Table) -> pa.Table:
 
 
 def fold_partial_arrow(t: pa.Table) -> pa.Table:
-    """The prep combiner: the LWW fold over the ``valid`` rows (the
-    folded rows keep their input positions) while the quarantine rows
-    pass through untouched, in input order — they reach the merge stage
-    with their raw payload intact. The output goes back to input order,
-    so the key codes need not sort like the keys (no dictionary
-    sort)."""
-    if t.num_rows <= 1:
-        return t
-    valid = t["valid"].to_numpy(zero_copy_only=False).astype(bool)
-    vidx = np.nonzero(valid)[0]
-    if len(vidx) == 0:
-        return t
-    keys = t.select(KEY_COLS + [SEQ_COL])
-    if len(vidx) < t.num_rows:
-        keys = keys.take(pa.array(vidx))
-    keep = np.sort(np.concatenate([vidx[_lww_winners(keys, False)], np.nonzero(~valid)[0]]))
+    """The prep combiner as a table function (``combine_keep``): the
+    LWW fold over the ``valid`` rows while the quarantine rows pass
+    through untouched, all in input order — quarantine rows reach the
+    merge stage with their raw payload intact."""
+    keep = combine_keep(t, encode_keys(t["repo"]), encode_keys(t["path"]))
     return t if len(keep) == t.num_rows else t.take(pa.array(keep))
 
 

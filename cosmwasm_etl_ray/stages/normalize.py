@@ -14,8 +14,6 @@ batch_format="pyarrow", zero-copy in).
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -27,13 +25,10 @@ _VALID_OPS = ("insert", "update", "delete")
 
 
 def _valid_mask(batch: pa.Table) -> pa.Array:
-    """A row is valid iff commit is a non-empty decimal string and op is
-    a known op. Malformed rows are the quarantine side output."""
-    commit = batch["commit"]
-    ok_commit = pc.and_(
-        pc.invert(pc.is_null(commit, nan_is_null=True)),
-        pc.match_substring_regex(pc.coalesce(commit, pa.scalar("")), r"^[0-9]+$"),
-    )
+    """A row is valid iff commit is a non-empty string of ASCII digits
+    (what ``^[0-9]+$`` accepts, without the regex) and op is a known op.
+    Malformed rows are the quarantine side output."""
+    ok_commit = pc.fill_null(pc.ascii_is_decimal(batch["commit"]), False)
     ok_op = pc.is_in(batch["op"], value_set=pa.array(_VALID_OPS))
     ok_key = pc.and_(
         pc.invert(pc.is_null(batch["repo"])), pc.invert(pc.is_null(batch["path"]))
@@ -61,21 +56,13 @@ def quarantine_events(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     return ds.map_batches(q, batch_format="pyarrow")
 
 
-class PartitionAssigner:
-    """Adds pid = stable_hash(repo, path) % P. A callable class so the
-    stage runs as an actor pool when given concurrency, though it holds
-    only config (cheap either way)."""
-
-    def __init__(self, num_partitions: int):
-        self.p = num_partitions
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        repo = batch["repo"].to_numpy(zero_copy_only=False)
-        path = batch["path"].to_numpy(zero_copy_only=False)
-        repo = np.where(pd.isna(repo), "", repo)
-        path = np.where(pd.isna(path), "", path)
-        pid = assign_partition(np.asarray(repo), np.asarray(path), self.p)
-        return batch.append_column("pid", pa.array(pid, type=pa.int32()))
+def flag(batch: pa.Table, ruleset=None) -> pa.Table:
+    """Adds ``valid`` (bool): the compiled ``_valid_mask``, or with a
+    ruleset its classification, after its mappers rewrite their rows."""
+    if ruleset is None:
+        return batch.append_column("valid", _valid_mask(batch))
+    batch = ruleset.apply_mappers(ruleset.classify(batch))
+    return batch.drop_columns(["rule_type"])
 
 
 class FlagAndPartition:
@@ -94,14 +81,10 @@ class FlagAndPartition:
     ``rules.default_cdc_rules()`` (asserted in tests)."""
 
     def __init__(self, num_partitions: int, ruleset=None):
-        self.assign = PartitionAssigner(num_partitions)
+        self.p = num_partitions
         self.ruleset = ruleset
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.ruleset is not None:
-            batch = self.ruleset.classify(batch)
-            batch = self.ruleset.apply_mappers(batch)
-            batch = batch.drop_columns(["rule_type"])
-        else:
-            batch = batch.append_column("valid", _valid_mask(batch))
-        return self.assign(batch)
+        batch = flag(batch, self.ruleset)
+        pid = assign_partition(batch["repo"], batch["path"], self.p)
+        return batch.append_column("pid", pa.array(pid, type=pa.int32()))

@@ -82,10 +82,10 @@ def _dead(name: str) -> bool:
     return False
 
 
-def sweep(dirs) -> int:
+def sweep(dirs, keep_dirs: bool = False) -> int:
     """Delete the dead writers' tmp files and directories in each of
-    ``dirs``, then each of ``dirs`` left empty. Returns the number of
-    tmps deleted."""
+    ``dirs``, then (unless ``keep_dirs``) each of ``dirs`` left empty.
+    Returns the number of tmps deleted."""
     deleted = 0
     for d in dirs:
         for name in os.listdir(d) if os.path.isdir(d) else []:
@@ -96,8 +96,9 @@ def sweep(dirs) -> int:
                 else:
                     os.remove(p)
                 deleted += 1
-        try:
-            os.rmdir(d)  # only an empty dir goes
-        except OSError:
-            pass
+        if not keep_dirs:
+            try:
+                os.rmdir(d)  # only an empty dir goes
+            except OSError:
+                pass
     return deleted

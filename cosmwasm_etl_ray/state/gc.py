@@ -41,8 +41,9 @@ def gc_state(store, keep_manifests: int = 1) -> dict:
     MergeWithState's partition writes and commit_epoch would commit a
     manifest pointing at deleted files, so they are always kept. In the
     state and quarantine dirs of the other epochs, the tmps of dead
-    writers (durable.sweep) and then the emptied dirs go too; the
-    deleted count includes those tmps."""
+    writers (durable.sweep) and then the emptied dirs go too, and so do
+    the dead writers' manifest tmps; the deleted count includes those
+    tmps."""
     from cosmwasm_etl_ray.state.delta import partition_chains
 
     epochs = store.committed_epochs()
@@ -62,8 +63,10 @@ def gc_state(store, keep_manifests: int = 1) -> dict:
             if f not in referenced:
                 os.remove(f)
                 deleted += 1
-    # a crashed writer's tmps, then the epoch dirs left empty
+    # a crashed writer's tmps, then the epoch dirs left empty; the
+    # manifest dir's too, but that dir stays (only StateStore() makes it)
     deleted += durable.sweep(settled(store.state_dir) + settled(store.quarantine_dir))
+    deleted += durable.sweep([store.manifest_dir], keep_dirs=True)
     return {"kept": len(referenced), "deleted": deleted}
 
 

@@ -104,6 +104,29 @@ def test_gc_sweeps_dead_writers_tmps(log, tmp_path):
     pd.testing.assert_frame_equal(read_state(store).to_pandas(), want)
 
 
+def test_gc_sweeps_dead_manifest_tmps_and_keeps_the_dir(log, tmp_path):
+    """A writer killed inside commit_epoch leaves its manifest tmp:
+    gc_state deletes a dead writer's and keeps a live one's, and keeps
+    manifests/ itself even when that leaves it empty, so the next epoch
+    still commits."""
+    store = StateStore(str(tmp_path / "s"))
+    head = plan_epochs(log, SPARSE)[0]
+    first = os.path.join(store.manifest_dir, f"epoch-000000.json.tmp.{_dead_pid()}")
+    open(first, "w").write("{")
+    assert gc_state(store) == {"kept": 0, "deleted": 1}
+    assert os.listdir(store.manifest_dir) == []
+    _apply(store, 0, head)
+
+    dead = os.path.join(store.manifest_dir, f"epoch-000001.json.tmp.{_dead_pid()}")
+    live = os.path.join(store.manifest_dir, f"epoch-000001.json.tmp.{os.getpid()}")
+    for f in (dead, live):
+        open(f, "w").write("{")
+    assert gc_state(store)["deleted"] == 1
+    assert not os.path.exists(dead) and os.path.exists(live)
+    _apply(store, 1, head)
+    assert store.committed_epochs() == [0, 1]
+
+
 def test_snapshot_is_never_torn(log, tmp_path, monkeypatch):
     from cosmwasm_etl_ray.stages.validate import snapshot_state
 
