@@ -119,10 +119,6 @@ def main(argv=None) -> int:
     ie.add_argument("--in", dest="in_dir", required=True)
     ie.add_argument("--out", required=True)
     ie.add_argument("--format", choices=["jsonl", "csv"], required=True)
-    tc = sub.add_parser("transfer-compact")
-    tc.add_argument("--store", required=True)
-    tc.add_argument("--through-epoch", type=int, default=None)
-    tc.add_argument("--no-gc", action="store_true")
 
     args = p.parse_args(argv)
 
@@ -274,31 +270,6 @@ def main(argv=None) -> int:
             print(json.dumps({
                 "epochs": results,
                 "rows": int(pipe.ledger().count()),
-            }))
-        finally:
-            _shutdown_ray()
-        return 0
-
-    if args.cmd == "transfer-compact":
-        _init_ray()
-        from cosmwasm_etl_ray.pipelines.transfer_parser import (
-            TransferParserPipeline,
-        )
-
-        try:
-            # sf_dir is unused by compaction (it only reads the store);
-            # the pipeline object is just the store-protocol handle
-            pipe = TransferParserPipeline("", args.store)
-            m = pipe.compact(through_epoch=args.through_epoch)
-            # GC runs even when compact() was a no-op — it collects
-            # files an earlier --no-gc run (or a crash between compact
-            # and GC) left behind; a no-compaction store is itself a
-            # GC no-op
-            gc = None if args.no_gc else pipe.gc_compacted()
-            print(json.dumps({
-                "gen": None if m is None else m["gen"],
-                "through_epoch": None if m is None else m["through_epoch"],
-                "gc": gc,
             }))
         finally:
             _shutdown_ray()

@@ -73,12 +73,13 @@ def encode_keys(col) -> tuple[np.ndarray, pa.Array]:
     return idx.to_numpy().astype(np.int64), enc.dictionary
 
 
-def _row_hashes(enc) -> np.ndarray:
+def _row_hashes(enc, null="") -> np.ndarray:
     """Each row's SipHash from an ``encode_keys`` result: the distinct
-    values (and "" for null) are hashed once, then gathered by code."""
+    values (and ``null`` for a null) are hashed once, then gathered by
+    code."""
     codes, values = enc
     values = values.to_numpy(zero_copy_only=False).astype(object, copy=False)
-    return pd.util.hash_array(np.append(values, ""), categorize=False)[codes]
+    return pd.util.hash_array(np.append(values, null), categorize=False)[codes]
 
 
 def partition_of_codes(repo, path, num_partitions: int) -> np.ndarray:

@@ -50,7 +50,7 @@ import pyarrow.parquet as pq
 import ray
 
 from cosmwasm_etl_ray.compat import cached_remote, task_cap
-from cosmwasm_etl_ray.functions.hashing import assign_partition, stable_hash64
+from cosmwasm_etl_ray.functions.hashing import _row_hashes, assign_partition, encode_keys
 from cosmwasm_etl_ray.state import durable
 
 PRICE_REPO_SHARDS = 32  # repo shards of the running-sum stage
@@ -59,10 +59,10 @@ PRICE_REPO_SHARDS = 32  # repo shards of the running-sum stage
 from cosmwasm_etl_ray.functions.hashing import split_table_by_shard as _split_table_by_shard
 
 
-def _repo_shard(repo: np.ndarray, n: int) -> np.ndarray:
-    return (stable_hash64(np.asarray(repo, dtype=object)) % np.uint64(n)).astype(
-        np.int32
-    )
+def _repo_shard(repo, n: int) -> np.ndarray:
+    """stable_hash64(repo) % n, with each distinct repo hashed once (a
+    null hashes as None, as it does per row)."""
+    return (_row_hashes(encode_keys(repo), null=None) % np.uint64(n)).astype(np.int32)
 
 
 def _price_prep_shard(path: str, row_groups: list[int], P: int):
@@ -129,7 +129,7 @@ def _price_join_pid(S: int, pid: int, state: pa.Table | None, *event_splits):
         ev[["repo", "path", "commit", "delta"]], preserve_index=False
     )
     return _split_table_by_shard(
-        out, _repo_shard(ev["repo"].to_numpy(), S), S
+        out, _repo_shard(out["repo"], S), S
     )
 
 

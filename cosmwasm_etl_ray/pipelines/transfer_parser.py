@@ -2,17 +2,17 @@
 the transfer domain, with the exactly-once sink.
 
 The reference parses one height range per iteration and commits parsed
-txs + the cursor in one transaction
-(/root/reference/parser/dex/dex.go:87-267,
-/root/reference/parser/dex/repo/repository.go:63-122). Here the tx-id
+txs + the cursor in one transaction (reference parser/dex/dex.go:87-267,
+parser/dex/repo/repository.go:63-122). Here the tx-id
 key space splits into contiguous EPOCHS (a tx's logs never span
 epochs — the same invariant as one height, which is what makes the
 per-tx duplicate eliminator epoch-local); each epoch runs
 
     raw logs (tx in [lo, hi)) -> decode -> mapper family
-      -> ONE tx-hash shuffle whose shard task eliminates duplicates
-         AND writes its partition file (no second sink shuffle)
-      -> manifest commit {offset_range=(lo,hi), per-pid lineage}
+      -> ONE tx-hash exchange into P pids; run_epoch cuts the pids
+         into contiguous runs by their ledger rows, and each run's
+         task eliminates duplicates AND writes the run's file
+      -> manifest commit {offset_range=(lo,hi), per-run lineage}
 
 through the SAME exactly-once discipline as the CDC replay sink: data
 files land tmp+rename (task retries self-overwrite, never append), and
@@ -21,9 +21,13 @@ leaves no visible state, a re-run of a committed epoch is a no-op skip
 (`state/manifest.StateStore`).
 
 Unlike the CDC merge store (latest state per partition), this sink is
-APPEND-shaped — every epoch contributes its own partition files, like
-the reference's INSERT of parsed txs — so readers collect each
-committed epoch's files from its manifest (`ledger()`).
+APPEND-shaped — every epoch contributes its own files, like the
+reference's INSERT of parsed txs, and never rewrites them — so readers
+collect each committed epoch's files from its manifest (`ledger()`).
+The pids are a fixed routing key space; the number of files follows
+the epoch's rows (one file per ``ROW_GROUP_ROWS`` rows or more, at
+most ``task_cap()``), so a small epoch writes one file and a long run
+of epochs needs no compaction.
 
 At 100-TB scale the raw-log source is commit-partitioned storage and
 ``plan_epochs`` becomes the tail loop's next-range query; the sink
@@ -35,12 +39,7 @@ paying one per epoch here.
 
 from __future__ import annotations
 
-import json
 import os
-import re
-import shutil
-import time
-import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -50,6 +49,7 @@ import ray.data
 
 from cosmwasm_etl_ray.compat import cached_remote, task_cap
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
+from cosmwasm_etl_ray.stages.merge import ROW_GROUP_ROWS
 from cosmwasm_etl_ray.stages.transfers import (
     TransferMapperFamily,
     decode_raw_logs_batch,
@@ -84,8 +84,10 @@ def _prep_transfer_shard(
 ):
     """One raw prep task: read a row-group run, keep the epoch's tx
     range, expand+decode+map it, and split BOTH the mapped ledger rows
-    and the malformed (quarantine) rows by tx-hash pid. Returns a
-    ``num_returns=P`` tuple of (ledger, quarantine) table pairs."""
+    and the malformed (quarantine) rows by tx-hash pid. Returns
+    ``num_returns=P+1`` values: each pid's (ledger, quarantine) table
+    pair (None when it has neither), then each pid's ledger row count
+    (int64[P]), the one value run_epoch fetches."""
     import pyarrow.compute as pc
 
     from cosmwasm_etl_ray.sources.rawlogs import expand_lineitem_batch
@@ -103,25 +105,42 @@ def _prep_transfer_shard(
         )
     )
     if t.num_rows == 0:
-        return None if P == 1 else tuple([None] * P)
+        return (*[None] * P, np.zeros(P, np.int64))
     decoded = decode_raw_logs_batch(expand_lineitem_batch(t))
     bad = decoded.filter(pc.is_null(decoded["amount_str"]))
     led = TransferMapperFamily()(decoded)
     led_parts = _split_by_tx_pid(led, P)
     bad_parts = _split_by_tx_pid(bad, P)
-    pairs = [
-        None if lp is None and bp is None else (lp, bp)
-        for lp, bp in zip(led_parts, bad_parts)
-    ]
-    # num_returns=1 delivers the return as ONE value — the bare pair,
-    # never a 1-tuple (the split_table_by_shard contract)
-    return pairs[0] if P == 1 else tuple(pairs)
+    rows = np.array([0 if lp is None else lp.num_rows for lp in led_parts], np.int64)
+    return (
+        *(None if lp is None and bp is None else (lp, bp) for lp, bp in zip(led_parts, bad_parts)),
+        rows,
+    )
 
 
-def _finish_transfer_pid(root: str, qdir: str, epoch: int, pid: int, *parts):
-    """One raw finish task: concat a pid's slices, run the duplicate
-    eliminator over its (complete) tx groups, write the partition file
-    and the quarantine side file tmp+rename, return a lineage row."""
+def _pid_runs(rows: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Cut pids 0..P-1 into contiguous runs [lo, hi), each of at least
+    max(ROW_GROUP_ROWS, total / cap) ledger rows (``rows`` holds each
+    pid's) unless it is the only run: at most ``cap`` runs, and an
+    epoch under ROW_GROUP_ROWS rows is one run."""
+    target = max(ROW_GROUP_ROWS, -(-int(rows.sum()) // cap))
+    cuts, acc = [0], 0
+    for p, n in enumerate(rows.tolist()):
+        acc += n
+        if acc >= target:
+            cuts.append(p + 1)
+            acc = 0
+    if len(cuts) > 1:
+        cuts.pop()  # the pids after it hold < target rows: they join the run before
+    return list(zip(cuts, cuts[1:] + [len(rows)]))
+
+
+def _finish_transfer_run(root: str, qdir: str, epoch: int, lo: int, *parts):
+    """One raw finish task per pid run: concat the run's slices, run
+    the duplicate eliminator over its tx groups (each is whole: a tx
+    hashes to one pid), write the run's ledger file and quarantine
+    side file, named by its first pid, tmp+rename, and return a
+    lineage row."""
     from cosmwasm_etl_ray.stages.transfers import _eliminate_shard
 
     led_tables = [p[0] for p in parts if p is not None and p[0] is not None]
@@ -135,7 +154,7 @@ def _finish_transfer_pid(root: str, qdir: str, epoch: int, pid: int, *parts):
         kept = _eliminate_shard(g)
         out_dir = os.path.join(root, f"epoch={epoch}")
         os.makedirs(out_dir, exist_ok=True)
-        out = os.path.join(out_dir, f"part-{pid:05d}.parquet")
+        out = os.path.join(out_dir, f"part-{lo:05d}.parquet")
         table = pa.Table.from_pandas(kept[LEDGER_COLS].reset_index(drop=True), preserve_index=False)
         durable.write(out, lambda tmp: pq.write_table(table, tmp))
         rows = len(kept)
@@ -143,9 +162,9 @@ def _finish_transfer_pid(root: str, qdir: str, epoch: int, pid: int, *parts):
         qt = pa.concat_tables(bad_tables)
         q_dir = os.path.join(qdir, f"epoch={epoch}")
         os.makedirs(q_dir, exist_ok=True)
-        durable.write(os.path.join(q_dir, f"part-{pid:05d}.parquet"), lambda tmp: pq.write_table(qt, tmp))
+        durable.write(os.path.join(q_dir, f"part-{lo:05d}.parquet"), lambda tmp: pq.write_table(qt, tmp))
         q_rows = qt.num_rows
-    return {"pid": pid, "file": out, "rows": rows, "quarantined": q_rows}
+    return {"lo": lo, "file": out, "rows": rows, "quarantined": q_rows}
 
 
 def _plan_epoch_shards(
@@ -199,23 +218,6 @@ def _plan_epoch_shards(
     return shards
 
 
-_COMPACT_RE = re.compile(r"^compact-(\d{6})\.json$")
-
-
-def _compact_pid(out_dir: str, pid: int, files: list[str]):
-    """One raw compaction task: concat one pid's input files (previous
-    generation first, then epoch files in epoch order) into a single
-    generation file, tmp+rename — same write discipline as the epoch
-    sink, so a task retry self-overwrites. ``out_dir`` is chosen by the
-    DRIVER (it carries the compactor's identity suffix — see
-    ``compact``), never derived here from worker state."""
-    tables = [pq.read_table(f) for f in files]
-    os.makedirs(out_dir, exist_ok=True)
-    out = os.path.join(out_dir, f"part-{pid:05d}.parquet")
-    durable.write(out, lambda tmp: pq.write_table(pa.concat_tables(tables), tmp))
-    return {"pid": pid, "file": out, "rows": sum(t.num_rows for t in tables)}
-
-
 class TransferParserPipeline:
     """Run the transfer parse epoch by epoch into an exactly-once
     append store; resumable from the last committed manifest."""
@@ -247,17 +249,18 @@ class TransferParserPipeline:
     # -- one epoch ----------------------------------------------------
     def run_epoch(self, epoch: int, lo: int, hi: int) -> dict:
         """One epoch through the DIRECT raw-task exchange (the replay
-        engine's fast path, `replay._replay_files_direct`): prep tasks
-        read a row-group run, keep the epoch's tx range, run
-        expand+decode+map vectorized and split by tx-hash pid
-        (``num_returns=P``); one finish task per pid concats its
-        slices, runs the duplicate eliminator over complete tx groups,
-        and writes partition + quarantine files tmp+rename. No Dataset
-        shuffle anywhere — the sort-based groupby measured ~20 s per
-        1.5M rows and pinned 8->32 scaling at ~1.3x. Malformed rows
-        ride the same exchange into dead-letter files, counted by the
-        same manifest (the reference upserts quarantines inside the
-        parsed-tx transaction, /root/reference/parser/dex/repo/
+        engine's fast path): prep tasks read a row-group run, keep the
+        epoch's tx range, run expand+decode+map vectorized and split by
+        tx-hash pid (``num_returns=P+1``, the last value each pid's
+        ledger rows). It fetches only those counts, cuts the
+        pids into runs (``_pid_runs``), and one finish task per run
+        runs the duplicate eliminator over its complete tx groups and
+        writes one ledger and one quarantine file tmp+rename. No
+        Dataset shuffle anywhere — the sort-based groupby measured
+        ~20 s per 1.5M rows and pinned 8->32 scaling at ~1.3x.
+        Malformed rows ride the same exchange into dead-letter files,
+        counted by the same manifest (the reference upserts quarantines
+        inside the parsed-tx transaction, parser/dex/repo/
         repository.go:63-122)."""
         if self.store.is_committed(epoch):
             return {"epoch": epoch, "skipped": True}
@@ -266,38 +269,35 @@ class TransferParserPipeline:
 
         P = self.num_partitions
         prep = cached_remote(
-            ("xfer_prep", P), _prep_transfer_shard, num_returns=P
+            ("xfer_prep", P), _prep_transfer_shard, num_returns=P + 1
         )
-        finish = cached_remote("xfer_finish", _finish_transfer_pid)
+        finish = cached_remote("xfer_finish", _finish_transfer_run)
 
         path = f"{self.sf_dir}/lineitem.parquet"
-        per_pid: list[list] = [[] for _ in range(P)]
-        for pth, rgs in _plan_epoch_shards(path, lo, hi, task_cap()):
-            refs = prep.remote(pth, rgs, lo, hi, P)
-            if P == 1:
-                refs = [refs]
-            for p, r in enumerate(refs):
-                per_pid[p].append(r)
+        shards = [
+            prep.remote(pth, rgs, lo, hi, P)
+            for pth, rgs in _plan_epoch_shards(path, lo, hi, task_cap())
+        ]
+        rows = sum(_ray.get([s[P] for s in shards]), np.zeros(P, np.int64))
         results = _ray.get(
             [
                 finish.remote(
-                    self.store.root, self.store.quarantine_dir,
-                    epoch, p, *per_pid[p],
+                    self.store.root, self.store.quarantine_dir, epoch, a,
+                    *(s[p] for p in range(a, b) for s in shards),
                 )
-                for p in range(P)
+                for a, b in _pid_runs(rows, task_cap())
             ]
         )
         results = [r for r in results if r is not None]
-        touched = {
-            r["pid"]: {"file": r["file"], "rows": r["rows"]}
-            for r in results
-            if r["file"] is not None
-        }
         n_rows = sum(r["rows"] for r in results)
         n_q = sum(r["quarantined"] for r in results)
         self.store.commit_epoch(
             epoch,
-            touched,
+            {
+                r["lo"]: {"file": r["file"], "rows": r["rows"]}
+                for r in results
+                if r["file"] is not None
+            },
             offset_range=(str(lo), str(hi)),
             counts={"rows": n_rows, "quarantined": n_q},
             num_partitions=P,
@@ -305,9 +305,7 @@ class TransferParserPipeline:
         return {"epoch": epoch, "skipped": False, "rows": n_rows}
 
     # -- whole run ----------------------------------------------------
-    def run(
-        self, max_concurrent: int = 4, compact_every: int | None = None
-    ) -> list[dict]:
+    def run(self, max_concurrent: int = 4) -> list[dict]:
         """Epochs are INDEPENDENT here (append sink, no cross-epoch
         state — unlike the CDC merge), so waves of them run
         concurrently: each thread just submits raw tasks and blocks on
@@ -319,310 +317,28 @@ class TransferParserPipeline:
         → 5.3 s at 8; default 4 keeps ≤4 epochs of refs in flight)."""
         plan = self.plan_epochs()
         if max_concurrent <= 1 or len(plan) == 1:
-            out = []
-            for e, (lo, hi) in enumerate(plan):
-                out.append(self.run_epoch(e, lo, hi))
-                self._maybe_compact(compact_every)
-            self._maybe_compact(compact_every, final=True)
-            return out
+            return [self.run_epoch(e, lo, hi) for e, (lo, hi) in enumerate(plan)]
 
-        from concurrent.futures import ThreadPoolExecutor, as_completed
+        from concurrent.futures import ThreadPoolExecutor
 
         from cosmwasm_etl_ray.compat import ensure_thread_safe_lazy_imports
 
         ensure_thread_safe_lazy_imports()
-        results: list[dict | None] = [None] * len(plan)
         with ThreadPoolExecutor(max_workers=max_concurrent) as pool:
-            futs = {
-                pool.submit(self.run_epoch, e, lo, hi): e
-                for e, (lo, hi) in enumerate(plan)
-            }
-            for f in as_completed(futs):
-                results[futs[f]] = f.result()  # first error propagates
-                # compaction interleaves with in-flight epochs safely:
-                # compact() clamps to COMMITTED epochs and GC touches
-                # only generations + covered epoch files
-                self._maybe_compact(compact_every)
-        self._maybe_compact(compact_every, final=True)
-        return results
-
-    def _maybe_compact(
-        self, every: int | None, final: bool = False
-    ) -> None:
-        """Fold + GC once >= ``every`` committed epochs sit above the
-        latest generation (always fold the tail when ``final``). The
-        run loop is the only compactor here, called from one thread."""
-        if every is None:
-            return
-        committed = self.store.committed_epochs()
-        if not committed:
-            return
-        prev = self.latest_compaction()
-        base_t = prev["through_epoch"] if prev else -1
-        pending = sum(1 for e in committed if e > base_t)
-        if pending >= every or (final and pending > 0):
-            if self.compact() is not None:
-                self.gc_compacted()
-
-    # -- compaction ---------------------------------------------------
-    # The append sink accretes one file per pid per epoch; at many
-    # epochs the read set is E×P small files — the classic small-file
-    # problem remote storage punishes hardest. Compaction folds all
-    # files of epochs <= T into ONE file per pid (a "generation"),
-    # committed by its own manifest (tmp+rename, the same atomic-commit
-    # discipline as epochs: a crash mid-compaction leaves an orphan
-    # gen dir that no reader consults). Re-compaction is INCREMENTAL —
-    # generation g+1 reads generation g's files plus only the epoch
-    # files in (T_g, T_{g+1}], never re-reading compacted epochs' rows
-    # from their original files. Epoch manifests are never touched
-    # (they stay the cursor/lineage; resume semantics are unchanged),
-    # and quarantine side files are not compacted. Reference analogue:
-    # the Postgres sink gets this for free from heap storage + vacuum;
-    # a Parquet lake must do it explicitly.
-
-    def _cpath(self, gen: int) -> str:
-        return os.path.join(self.store.manifest_dir, f"compact-{gen:06d}.json")
-
-    def compactions(self) -> list[int]:
-        out = []
-        for f in os.listdir(self.store.manifest_dir):
-            m = _COMPACT_RE.match(f)
-            if m:
-                out.append(int(m.group(1)))
-        return sorted(out)
-
-    def compaction_manifest(self, gen: int) -> dict:
-        with open(self._cpath(gen)) as f:
-            return json.load(f)
-
-    def latest_compaction(self) -> dict | None:
-        gens = self.compactions()
-        return self.compaction_manifest(gens[-1]) if gens else None
-
-    def _own_epoch_partitions(self, epochs: list[int]) -> dict[int, list[str]]:
-        """pid -> that pid's OWN files across `epochs`, in epoch order
-        (each manifest carries forward prior epochs' entries; filter
-        back to the rows this epoch itself wrote)."""
-        per_pid: dict[int, list[str]] = {}
-        for e in epochs:
-            m = self.store.manifest(e)
-            for pid, info in m["partitions"].items():
-                if info["epoch"] == e and info["file"] is not None:
-                    per_pid.setdefault(int(pid), []).append(info["file"])
-        return per_pid
-
-    def compact(self, through_epoch: int | None = None) -> dict | None:
-        """Fold committed epochs <= through_epoch (default: all) into
-        the next compaction generation; one raw task per pid. Returns
-        the committed compaction manifest, or None when there is
-        nothing new to fold.
-
-        ``through_epoch`` is CLAMPED to the CONTIGUOUS committed prefix
-        (concurrent waves commit out of order): covering epoch 3 while
-        epoch 1 is still in flight would record 0..3 as folded, drop
-        epoch 1 from later reads, and let GC delete its files unfolded.
-
-        Concurrent compactors are safe: each writes its generation
-        files under a compactor-unique directory (gen + pid suffix),
-        so racers never overwrite each other's data files; the
-        manifest is committed with an EXCLUSIVE create
-        (``durable.write_json(..., overwrite=False)``: tmp + hard link —
-        atomic like rename, but fails instead of overwriting),
-        so exactly one racer wins a generation number. A loser
-        discards its directory and retries against the winner's state
-        (usually: nothing left to fold — return the winner's
-        manifest). gc_compacted() only sweeps a foreign compact dir
-        once a committed manifest EXISTS for that dir's generation —
-        an in-flight compactor's dir (gen not yet committed) is never
-        touched, and a loser whose dir is swept after losing simply
-        recomputes here. Last-writer-wins (overwriting) commits are
-        exactly what this protocol replaces: it let a slow racer
-        overwrite the winner's manifest with one pointing at a
-        GC-swept directory, losing every folded row."""
-        import ray as _ray
-
-        task = cached_remote("xfer_compact", _compact_pid)
-        while True:
-            committed = self.store.committed_epochs()
-            max_contiguous = -1
-            for i, e in enumerate(committed):
-                if e != i:
-                    break
-                max_contiguous = e
-            t = through_epoch
-            if t is None or t > max_contiguous:
-                t = max_contiguous
-            prev = self.latest_compaction()
-            base_t = prev["through_epoch"] if prev else -1
-            new_epochs = [e for e in committed if base_t < e <= t]
-            if not new_epochs:
-                return None
-            per_pid = self._own_epoch_partitions(new_epochs)
-            if prev:
-                for pid, info in prev["partitions"].items():
-                    per_pid.setdefault(int(pid), []).insert(0, info["file"])
-            gens = self.compactions()
-            plan_sig = (tuple(gens), base_t)
-            gen = (gens[-1] + 1) if gens else 0
-            # pid alone is NOT unique enough: two racers in one process
-            # (threads) would share a workspace and the loser's cleanup
-            # would delete the winner's committed data files
-            tok = f"{os.getpid()}-{uuid.uuid4().hex[:6]}"
-            out_dir = os.path.join(
-                self.store.root, "compact", f"gen={gen}-{tok}"
-            )
-            try:
-                results = _ray.get(
-                    [
-                        task.remote(out_dir, pid, files)
-                        for pid, files in sorted(per_pid.items())
-                    ]
-                )
-            except FileNotFoundError:
-                # a racer committed AND GC'd between our plan and our
-                # fold: the planned source files are gone. Re-plan from
-                # the winner's state — but only if the store actually
-                # advanced, else the file is genuinely missing: raise.
-                shutil.rmtree(out_dir, ignore_errors=True)
-                latest = self.latest_compaction()
-                now_sig = (
-                    tuple(self.compactions()),
-                    latest["through_epoch"] if latest else -1,
-                )
-                if now_sig == plan_sig:
-                    raise
-                continue
-            manifest = {
-                "gen": gen,
-                "through_epoch": t,
-                "base_gen": prev["gen"] if prev else None,
-                "dir": out_dir,
-                "committed_at": time.time(),
-                "partitions": {
-                    str(r["pid"]): {"file": r["file"], "rows": r["rows"]}
-                    for r in results
-                },
-            }
-            if durable.write_json(self._cpath(gen), manifest, overwrite=False, token=tok):
-                return manifest
-            # a racer committed this gen first: our fold may duplicate
-            # (or lag) the winner's coverage — discard it and re-plan
-            # from the winner's manifest
-            shutil.rmtree(out_dir, ignore_errors=True)
-            latest = self.latest_compaction()
-            if latest is not None and latest["through_epoch"] >= t:
-                return latest
-
-    def gc_compacted(self) -> dict:
-        """Delete data now fully covered by the latest committed
-        compaction generation: the original per-epoch partition files
-        of epochs <= its through_epoch, and every compact/ directory
-        whose generation has a COMMITTED manifest but is not the
-        latest generation's own dir (older generations, plus loser
-        dirs from compact()'s exclusive-create race — their owners
-        detect the collision and recompute, so sweeping is safe). A
-        dir whose generation has NO committed manifest is an
-        in-flight compactor's workspace and is never touched; a
-        crashed compactor's orphan is reclaimed as soon as its gen
-        number is committed by someone else. Epoch manifests are kept
-        (they are the cursor and the lineage). Before deleting any
-        source epoch file we verify every file the latest manifest
-        points at actually exists — if the generation is damaged, GC
-        refuses rather than deleting the only remaining copy. Safe
-        w.r.t. WRITERS anytime; a ledger() scan that listed its files
-        before the compaction committed can still hold the old paths,
-        so run GC when no long scan is in flight (or let such a
-        reader retry on FileNotFoundError — the re-list sees the
-        compacted view)."""
-        # ONE snapshot of committed generations: `latest`, the sweep
-        # filter and the newer-gen guard must agree on what "latest"
-        # means, or a racer committing between two reads makes a
-        # just-committed generation look like a sweepable orphan
-        gens = self.compactions()
-        if not gens:
-            return {"deleted": 0}
-        latest_gen = gens[-1]
-        latest = self.compaction_manifest(latest_gen)
-        missing = [
-            info["file"]
-            for info in latest["partitions"].values()
-            if not os.path.exists(info["file"])
-        ]
-        if missing:
-            return {"deleted": 0, "aborted_missing": missing}
-        committed_gens = set(gens)
-        deleted = 0
-        covered = [
-            e for e in self.store.committed_epochs()
-            if e <= latest["through_epoch"]
-        ]
-        # CONCURRENT SWEEPERS (chaos-pinned): two gc_compacted calls
-        # may race on the same garbage. Every deletion target here is
-        # covered by a committed generation >= this sweeper's
-        # snapshot, so a racer removing it first is benign — removals
-        # are best-effort (ENOENT → the racer won) and rmdir skips on
-        # ENOTEMPTY/ENOENT (the racer is mid-sweep or already done).
-        def _rm_quiet(path: str) -> bool:
-            try:
-                os.remove(path)
-                return True
-            except FileNotFoundError:
-                return False
-
-        def _rmdir_quiet(path: str) -> None:
-            try:
-                os.rmdir(path)
-            except OSError:
-                pass  # ENOTEMPTY (racer mid-sweep) or ENOENT (done)
-
-        for pid_files in self._own_epoch_partitions(covered).values():
-            for f in pid_files:
-                if _rm_quiet(f):
-                    deleted += 1
-        for e in covered:
-            d = os.path.join(self.store.root, f"epoch={e}")
-            if os.path.isdir(d) and not os.listdir(d):
-                _rmdir_quiet(d)
-        keep_dir = latest.get("dir")
-        if not keep_dir and latest["partitions"]:
-            # pre-"dir" manifests: derive from any partition file
-            keep_dir = os.path.dirname(
-                next(iter(latest["partitions"].values()))["file"]
-            )
-        keep = os.path.abspath(keep_dir) if keep_dir else None
-        comp_root = os.path.join(self.store.root, "compact")
-        if os.path.isdir(comp_root):
-            for name in os.listdir(comp_root):
-                d = os.path.join(comp_root, name)
-                if os.path.abspath(d) == keep or not os.path.isdir(d):
-                    continue
-                m = re.match(r"gen=(\d+)", name)
-                if m is None or int(m.group(1)) not in committed_gens:
-                    continue  # in-flight workspace — leave it alone
-                for f in os.listdir(d):
-                    if _rm_quiet(os.path.join(d, f)):
-                        deleted += 1
-                _rmdir_quiet(d)
-        return {"deleted": deleted}
+            return list(pool.map(self.run_epoch, range(len(plan)), *zip(*plan)))
 
     # -- readers ------------------------------------------------------
     def epoch_files(self) -> list[str]:
-        """The current read set: the latest compaction generation's
-        files (if any) plus each later committed epoch's OWN files.
-        Without a compaction this is every epoch's own files (each
-        manifest also carries forward prior epochs' entries, which we
-        filter back out by their recorded epoch)."""
-        comp = self.latest_compaction()
-        base_t = comp["through_epoch"] if comp else -1
-        files = (
-            [info["file"] for info in comp["partitions"].values()]
-            if comp
-            else []
+        """Every committed epoch's OWN ledger files (each manifest also
+        carries forward earlier epochs' entries, filtered back out by
+        their recorded epoch). A crashed run's files are named by no
+        manifest, so they are never read."""
+        return sorted(
+            info["file"]
+            for e in self.store.committed_epochs()
+            for info in self.store.manifest(e)["partitions"].values()
+            if info["epoch"] == e
         )
-        tail = [e for e in self.store.committed_epochs() if e > base_t]
-        for pid_files in self._own_epoch_partitions(tail).values():
-            files += pid_files
-        return sorted(files)
 
     def ledger(self) -> "ray.data.Dataset":
         files = self.epoch_files()

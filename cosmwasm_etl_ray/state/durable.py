@@ -4,9 +4,10 @@ Graft of the reference's one-transaction commit of rows and cursor
 (/root/reference/parser/dex/repo/repository.go:98-122) onto files: a
 writer writes ``tmp_path(path)`` (``<path>.tmp.<pid>``, a name no reader
 lists) and ``commit`` renames it into place, so readers see the old
-bytes or the new, never a torn file. ``overwrite=False`` refuses a lost
-race. ``sweep`` deletes dead writers' tmps. Tests crash any durable
-write by monkeypatching ``commit``.
+bytes or the new, never a torn file. A directory commit with
+``overwrite=False`` refuses a lost race. ``sweep`` deletes dead
+writers' tmps. Tests crash any durable write by monkeypatching
+``commit``.
 """
 
 from __future__ import annotations
@@ -18,59 +19,47 @@ import shutil
 _TMP = ".tmp."
 
 
-def tmp_path(path: str, token: str | None = None) -> str:
-    """``<path>.tmp.<pid>``, or ``<path>.tmp.<token>`` for a name unique
-    per racer (the token starts with the pid: ``<pid>-<suffix>``)."""
-    return f"{path}{_TMP}{os.getpid() if token is None else token}"
+def tmp_path(path: str) -> str:
+    """``<path>.tmp.<pid>``."""
+    return f"{path}{_TMP}{os.getpid()}"
 
 
-def commit(tmp: str, path: str, overwrite: bool = True) -> bool:
+def commit(tmp: str, path: str, overwrite: bool = True) -> None:
     """Rename ``tmp`` into place at ``path``: an existing file is
     replaced atomically, an existing directory removed first. With
-    ``overwrite=False`` an existing target wins: ``tmp`` is removed and
-    the call returns False."""
-    if os.path.isdir(tmp):
-        if overwrite:
-            shutil.rmtree(path, ignore_errors=True)
-        try:
-            os.rename(tmp, path)
-        except OSError:
-            if overwrite or not os.path.isdir(path):
-                raise
-            shutil.rmtree(tmp, ignore_errors=True)
-            return False
-        return True
-    if overwrite:
+    ``overwrite=False`` (directories only) an existing directory wins
+    and ``tmp`` is removed."""
+    if not os.path.isdir(tmp):
         os.replace(tmp, path)
-        return True
+        return
+    if overwrite:
+        shutil.rmtree(path, ignore_errors=True)
     try:
-        os.link(tmp, path)
-    except FileExistsError:
-        return False
-    finally:
-        os.remove(tmp)
-    return True
+        os.rename(tmp, path)
+    except OSError:
+        if overwrite or not os.path.isdir(path):
+            raise
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
-def write(path: str, write_fn, overwrite: bool = True, token: str | None = None) -> bool:
+def write(path: str, write_fn, overwrite: bool = True) -> None:
     """``write_fn(tmp)`` writes the bytes, then ``commit``."""
-    tmp = tmp_path(path, token)
+    tmp = tmp_path(path)
     write_fn(tmp)
-    return commit(tmp, path, overwrite)
+    commit(tmp, path, overwrite)
 
 
-def write_json(path: str, obj, overwrite: bool = True, token: str | None = None) -> bool:
+def write_json(path: str, obj) -> None:
     def dump(tmp: str) -> None:
         with open(tmp, "w") as f:
             json.dump(obj, f)
 
-    return write(path, dump, overwrite, token)
+    write(path, dump)
 
 
 def _dead(name: str) -> bool:
     """A tmp name whose writer pid no longer runs."""
-    head, _, tag = name.rpartition(_TMP)
-    pid = tag.split("-", 1)[0]
+    head, _, pid = name.rpartition(_TMP)
     if not (head and pid.isdigit()):
         return False
     try:

@@ -1,5 +1,6 @@
-"""Prep encodes a shard's keys once: ``assign_partition`` (distinct
-strings hashed once) equals the per-row pid formula, ``_prep_split``
+"""Prep encodes a shard's keys once: ``assign_partition`` and price's
+``_repo_shard`` (distinct strings hashed once) equal their per-row
+formulas, ``_prep_split``
 equals flag → per-row pid → ``fold_lww_arrow`` over the valid rows →
 stable split, and ``_valid_mask``'s commit check agrees with the regex
 it replaced."""
@@ -10,6 +11,7 @@ import pyarrow.compute as pc
 import pytest
 
 from cosmwasm_etl_ray.functions.hashing import assign_partition, stable_hash64
+from cosmwasm_etl_ray.pipelines.price_direct import _repo_shard
 from cosmwasm_etl_ray.pipelines.replay import _pid_groups, _prep_split
 from cosmwasm_etl_ray.stages.merge import fold_lww_arrow
 from cosmwasm_etl_ray.stages.normalize import _valid_mask
@@ -48,10 +50,13 @@ def test_assign_partition_equals_per_row_hash(n_partitions):
                        p.dictionary_encode()),
         "numpy": (np.array(repo, dtype=object), np.array(path, dtype=object)),
     }
+    # price's repo shard, per row: stable_hash64(repo) % S, null hashed as None
+    want_repo = (stable_hash64(np.array(repo, dtype=object)) % np.uint64(n_partitions)).astype(np.int32)
     for name, (a, b) in inputs.items():
         got = assign_partition(a, b, n_partitions)
         assert got.dtype == np.int32, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+        np.testing.assert_array_equal(_repo_shard(a, n_partitions), want_repo, err_msg=name)
     assert assign_partition(pa.array([], pa.string()), pa.array([], pa.string()), 8).size == 0
 
 

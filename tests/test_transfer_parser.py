@@ -7,12 +7,14 @@ import os
 import pandas as pd
 import pytest
 
+from cosmwasm_etl_ray.pipelines import transfer_parser as tp
 from cosmwasm_etl_ray.pipelines.transfer_parser import (
     LEDGER_COLS,
     TransferParserPipeline,
 )
 
 SF = "/root/testdata/sf0.001"
+SF01 = os.path.join(os.path.dirname(SF), "sf0.01")
 
 
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
@@ -157,9 +159,9 @@ def test_epoch_locality_of_elimination(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_single_partition_exchange(tmp_path):
-    """num_partitions=1 exercises the num_returns=1 contract: Ray
-    delivers the prep task's return as ONE value (the bare (ledger,
-    quarantine) pair), never a 1-tuple — the same ledger must come out."""
+    """num_partitions=1: the prep task returns one (ledger, quarantine)
+    pair plus the counts (num_returns=2), and the one pid is one run —
+    the same ledger must come out."""
     from cosmwasm_etl_ray.pipelines.queries_transfers import transfer_ledger
 
     pipe = TransferParserPipeline(
@@ -182,396 +184,190 @@ def test_empty_store_ledger_schema(tmp_path):
     assert types["tx_id"] == "int64" and types["amount"] == "int64"
 
 
+def test_pid_runs_are_contiguous_sized_and_capped(monkeypatch):
+    """Runs tile [0, P) in order, there are at most ``cap`` of them, and
+    each holds at least max(ROW_GROUP_ROWS, total / cap) rows unless it
+    is the only run."""
+    import numpy as np
+
+    monkeypatch.setattr(tp, "ROW_GROUP_ROWS", 100)
+    rng = np.random.default_rng(7)
+    cases = [np.zeros(16, np.int64), np.full(16, 99), np.full(16, 100), np.arange(64) * 10]
+    cases += [rng.zipf(1.5, size=P).clip(0, 5000) for P in (1, 3, 32, 64) for _ in range(5)]
+    for rows in cases:
+        for cap in (1, 2, 8, 64):
+            runs = tp._pid_runs(rows, cap)
+            assert runs[0][0] == 0 and runs[-1][1] == len(rows)
+            assert [a for a, _ in runs[1:]] == [b for _, b in runs[:-1]]
+            assert all(a < b for a, b in runs)
+            assert len(runs) <= cap
+            target = max(100, -(-int(rows.sum()) // cap))
+            if len(runs) > 1:
+                assert min(int(rows[a:b].sum()) for a, b in runs) >= target
+    assert tp._pid_runs(np.full(16, 10), 8) == [(0, 16)]  # a small epoch is one run
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_compaction_preserves_ledger_and_shrinks_read_set(tmp_path):
-    pipe = TransferParserPipeline(
-        SF, str(tmp_path / "store"), n_epochs=4, num_partitions=8
-    )
+def test_epoch_with_several_files(tmp_path, monkeypatch):
+    """With the row target low, an sf0.01 epoch cuts its pids into
+    several runs, one file each and at most task_cap() of them; the
+    ledger equals the one-shot query and no tx spans two files."""
+    from cosmwasm_etl_ray.compat import task_cap
+    from cosmwasm_etl_ray.pipelines.queries_transfers import transfer_ledger
+
+    monkeypatch.setattr(tp, "ROW_GROUP_ROWS", 2000)
+    pipe = TransferParserPipeline(SF01, str(tmp_path / "store"), n_epochs=2)
     pipe.run()
-    before = _sorted(pipe.ledger().to_pandas())
-    n_before = len(pipe.epoch_files())
-    # a future through_epoch must CLAMP to the max committed epoch —
-    # recording uncovered epochs as covered would drop them from reads
-    # and let GC delete them unfolded
-    m = pipe.compact(through_epoch=10**6)
-    assert m is not None and m["through_epoch"] == 3 and m["base_gen"] is None
-    # epoch files still on disk until GC; reader already prefers the gen
-    assert len(pipe.epoch_files()) <= 8
-    gc = pipe.gc_compacted()
-    assert gc["deleted"] >= n_before - 8
-    after = _sorted(pipe.ledger().to_pandas())
-    pd.testing.assert_frame_equal(after, before)
-    # nothing new to fold -> no-op
-    assert pipe.compact() is None
-    # a fresh pipeline object over the same root sees the same view
-    again = TransferParserPipeline(
-        SF, str(tmp_path / "store"), n_epochs=4, num_partitions=8
+    for e in pipe.store.committed_epochs():
+        own = [f for f in pipe.epoch_files() if f"epoch={e}{os.sep}" in f]
+        assert 1 < len(own) <= task_cap(), (e, own)
+    seen: set = set()
+    for f in pipe.epoch_files():
+        ids = set(pd.read_parquet(f, columns=["tx_id"])["tx_id"])
+        assert not ids & seen, f
+        seen |= ids
+    pd.testing.assert_frame_equal(
+        _sorted(pipe.ledger().to_pandas()), _sorted(transfer_ledger(SF01).to_pandas())
     )
-    pd.testing.assert_frame_equal(_sorted(again.ledger().to_pandas()), before)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_incremental_compaction_across_appends(tmp_path):
+def test_fresh_pipeline_resumes_later_epochs(tmp_path):
+    """One pipeline runs epochs 0..1; a fresh one on the same store
+    skips them and runs 2..3. Each small epoch wrote one ledger file,
+    and the ledger equals the one-shot query."""
+    from cosmwasm_etl_ray.pipelines.queries_transfers import transfer_ledger
+
     root = str(tmp_path / "store")
+    first = TransferParserPipeline(SF, root, n_epochs=4, num_partitions=4)
+    for e, (lo, hi) in enumerate(first.plan_epochs()[:2]):
+        first.run_epoch(e, lo, hi)
     pipe = TransferParserPipeline(SF, root, n_epochs=4, num_partitions=4)
-    plan = pipe.plan_epochs()
-    # first two epochs -> gen 0
-    for e in (0, 1):
-        pipe.run_epoch(e, *plan[e])
-    assert pipe.compact()["gen"] == 0
-    pipe.gc_compacted()
-    # two more epochs appended AFTER compaction
-    for e in (2, 3):
-        pipe.run_epoch(e, *plan[e])
-    mid = _sorted(pipe.ledger().to_pandas())  # gen 0 + epoch 2,3 files
-    # gen 1 folds gen 0 + only the new epochs (incremental: base_gen=0)
-    m = pipe.compact()
-    assert m["gen"] == 1 and m["base_gen"] == 0 and m["through_epoch"] == 3
-    pipe.gc_compacted()
-    # only the latest generation's dir survives GC
-    assert os.listdir(os.path.join(root, "compact")) == [
-        os.path.basename(m["dir"])
-    ]
-    pd.testing.assert_frame_equal(_sorted(pipe.ledger().to_pandas()), mid)
-    from cosmwasm_etl_ray.pipelines.queries_transfers import transfer_ledger
-
-    pd.testing.assert_frame_equal(mid, _sorted(transfer_ledger(SF).to_pandas()))
+    assert [r["skipped"] for r in pipe.run()] == [True, True, False, False]
+    assert len(pipe.epoch_files()) == 4
+    pd.testing.assert_frame_equal(
+        _sorted(pipe.ledger().to_pandas()), _sorted(transfer_ledger(SF).to_pandas())
+    )
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_crash_mid_compaction_is_invisible(tmp_path):
-    from cosmwasm_etl_ray.pipelines.transfer_parser import _compact_pid
+def test_crash_orphans_are_never_read(tmp_path, monkeypatch):
+    """Epoch 1, cut into several files by a low row target, crashes
+    before its manifest: its part files stay on disk, named by no
+    manifest, and are never read. The resume (one file at the default
+    target) equals the quiet run."""
+    quiet = TransferParserPipeline(SF, str(tmp_path / "quiet"), n_epochs=2)
+    quiet.run()
+    want = _sorted(quiet.ledger().to_pandas())
 
     root = str(tmp_path / "store")
-    pipe = TransferParserPipeline(SF, root, n_epochs=2, num_partitions=4)
-    pipe.run()
-    before = _sorted(pipe.ledger().to_pandas())
-    # simulate: gen files written for SOME pids (under a crashed
-    # compactor's unique dir), then crash before the manifest lands
-    per_pid = pipe._own_epoch_partitions(pipe.store.committed_epochs())
-    pid, files = next(iter(sorted(per_pid.items())))
-    orphan = os.path.join(root, "compact", "gen=0-99999")
-    _compact_pid(orphan, pid, files)
-    assert os.path.isdir(orphan)
-    assert pipe.latest_compaction() is None
-    pd.testing.assert_frame_equal(_sorted(pipe.ledger().to_pandas()), before)
-    # the re-run commits its own generation; GC sweeps the orphan dir
-    assert pipe.compact()["gen"] == 0
-    pipe.gc_compacted()
-    assert not os.path.isdir(orphan)
-    pd.testing.assert_frame_equal(_sorted(pipe.ledger().to_pandas()), before)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_run_with_periodic_compaction(tmp_path):
-    """run(compact_every=2) interleaves fold+GC with the epoch waves
-    and still produces the identical ledger, fully compacted."""
-    from cosmwasm_etl_ray.pipelines.queries_transfers import transfer_ledger
-
-    pipe = TransferParserPipeline(
-        SF, str(tmp_path / "store"), n_epochs=5, num_partitions=4
-    )
-    pipe.run(max_concurrent=3, compact_every=2)
-    assert pipe.compactions(), "at least one generation committed"
-    latest = pipe.latest_compaction()
-    assert latest["through_epoch"] == 4  # final fold covers the tail
-    assert len(pipe.epoch_files()) <= 4
-    got = _sorted(pipe.ledger().to_pandas())
-    want = _sorted(transfer_ledger(SF).to_pandas())
-    pd.testing.assert_frame_equal(got, want)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_compaction_never_covers_past_a_commit_gap(tmp_path):
-    """Epochs commit out of order under concurrent waves; compaction
-    coverage must clamp to the contiguous committed prefix or the gap
-    epoch's rows are lost at GC."""
-    from cosmwasm_etl_ray.pipelines.queries_transfers import transfer_ledger
-
-    pipe = TransferParserPipeline(
-        SF, str(tmp_path / "store"), n_epochs=3, num_partitions=4
-    )
+    pipe = TransferParserPipeline(SF, root, n_epochs=2)
     plan = pipe.plan_epochs()
     pipe.run_epoch(0, *plan[0])
-    pipe.run_epoch(2, *plan[2])  # epoch 1 "in flight"
-    m = pipe.compact()
-    assert m["through_epoch"] == 0  # NOT 2
-    pipe.gc_compacted()
-    pipe.run_epoch(1, *plan[1])
-    m2 = pipe.compact()
-    assert m2["through_epoch"] == 2
-    pipe.gc_compacted()
+    with monkeypatch.context() as m:
+        m.setattr(tp, "ROW_GROUP_ROWS", 50)
+
+        def crash(*a, **k):
+            raise OSError("crash before the manifest")
+
+        m.setattr(pipe.store, "commit_epoch", crash)
+        with pytest.raises(OSError, match="crash before the manifest"):
+            pipe.run_epoch(1, *plan[1])
+    orphans = glob.glob(os.path.join(root, "epoch=1", "part-*.parquet"))
+    assert len(orphans) > 1 and pipe.store.committed_epochs() == [0]
+    assert not set(orphans) & set(pipe.epoch_files())
+    lo, hi = plan[0]
     pd.testing.assert_frame_equal(
-        _sorted(pipe.ledger().to_pandas()),
-        _sorted(transfer_ledger(SF).to_pandas()),
+        _sorted(pipe.ledger().to_pandas()), _sorted(want[(want.tx_id >= lo) & (want.tx_id < hi)])
     )
 
-@pytest.mark.usefixtures("ray_session")
-def test_racing_compactors_lose_no_data(tmp_path):
-    """ADVICE r3 (high): two compactors race on the same generation.
-    The loser must NOT overwrite the winner's manifest (the old
-    os.replace commit did, pointing reads at a GC-swept dir and losing
-    every folded row). With the exclusive-create commit the loser
-    detects the collision, discards its own directory, and returns the
-    winner's manifest; the ledger survives GC bit-for-bit."""
-    import json as _json
-
-    root = str(tmp_path / "store")
-    pipe_b = TransferParserPipeline(SF, root, n_epochs=3, num_partitions=4)
-    pipe_b.run()
-    before = _sorted(pipe_b.ledger().to_pandas())
-
-    def stale_pipe():
-        """A compactor whose first plan reads the state as it was just
-        before the winner committed (no generations yet)."""
-        p = TransferParserPipeline(SF, root, n_epochs=3, num_partitions=4)
-        real = p.compactions
-        calls = {"n": 0}
-
-        def stale_compactions():
-            calls["n"] += 1
-            return [] if calls["n"] <= 2 else real()
-
-        p.compactions = stale_compactions
-        return p
-
-    # --- interleaving 1: B commits gen 0; A (stale plan) folds the
-    # same epochs and collides on the exclusive manifest create ---
-    pipe_a = stale_pipe()
-    m_b = pipe_b.compact()
-    assert m_b["gen"] == 0
-    with open(pipe_b._cpath(0)) as f:
-        manifest_before = _json.load(f)
-    m_a = pipe_a.compact()
-    assert m_a is not None and m_a["dir"] == m_b["dir"]
-    with open(pipe_b._cpath(0)) as f:
-        assert _json.load(f) == manifest_before  # never overwritten
-    # A's loser dir is gone (self-cleaned), only the winner's survives
-    assert os.listdir(os.path.join(root, "compact")) == [
-        os.path.basename(m_b["dir"])
-    ]
-
-    # --- interleaving 2: B has ALSO GC'd; a second stale racer's fold
-    # hits missing epoch files, re-plans, and finds nothing to do ---
-    pipe_b.gc_compacted()
-    pipe_a2 = stale_pipe()
-    assert pipe_a2.compact() is None
-    with open(pipe_b._cpath(0)) as f:
-        assert _json.load(f) == manifest_before
-    assert os.listdir(os.path.join(root, "compact")) == [
-        os.path.basename(m_b["dir"])
-    ]
-    pipe_a2.gc_compacted()
-    pd.testing.assert_frame_equal(_sorted(pipe_a2.ledger().to_pandas()), before)
-    pd.testing.assert_frame_equal(_sorted(pipe_b.ledger().to_pandas()), before)
+    resumed = TransferParserPipeline(SF, root, n_epochs=2)
+    assert [r["skipped"] for r in resumed.run()] == [True, False]
+    assert len([f for f in resumed.epoch_files() if f"epoch=1{os.sep}" in f]) == 1
+    assert set(orphans) - set(resumed.epoch_files())  # still on disk, never read
+    pd.testing.assert_frame_equal(_sorted(resumed.ledger().to_pandas()), want)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_gc_leaves_inflight_compactor_dirs(tmp_path):
-    """A compact dir whose generation has NO committed manifest is a
-    live compactor's workspace: GC must not sweep it (the old sweep
-    deleted it as an orphan, so the racer later committed a manifest
-    pointing at nothing). Once the gen number is committed, loser and
-    crash orphans for that gen become sweepable."""
-    root = str(tmp_path / "store")
-    pipe = TransferParserPipeline(SF, root, n_epochs=2, num_partitions=4)
-    pipe.run()
-    assert pipe.compact()["gen"] == 0
-    # in-flight: gen 1 not committed anywhere
-    inflight = os.path.join(root, "compact", "gen=1-77777")
-    os.makedirs(inflight)
-    with open(os.path.join(inflight, "pid=0.parquet"), "w") as f:
-        f.write("inflight")
-    # loser: a second gen-0 dir while gen 0 IS committed
-    loser = os.path.join(root, "compact", "gen=0-88888")
-    os.makedirs(loser)
-    with open(os.path.join(loser, "pid=0.parquet"), "w") as f:
-        f.write("loser")
-    pipe.gc_compacted()
-    assert os.path.isdir(inflight), "in-flight workspace swept"
-    assert not os.path.isdir(loser), "committed-gen loser dir kept"
-    os.remove(os.path.join(inflight, "pid=0.parquet"))
-    os.rmdir(inflight)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_gc_snapshot_protects_concurrently_committed_generation(tmp_path):
-    """TOCTOU: a racer commits gen 1 BETWEEN GC reading `latest`
-    (= gen 0) and GC listing committed generations for the dir sweep.
-    With two independent reads, gen 1's dir looked like a
-    committed-gen orphan of a non-latest generation and was swept —
-    poisoning the committed gen-1 manifest (ledger reads
-    FileNotFoundError forever; compact()'s re-plan raises because the
-    store never advances). GC must take ONE generation snapshot, so a
-    generation newer than its `latest` is invisible to the sweep."""
-    root = str(tmp_path / "store")
-    pipe = TransferParserPipeline(SF, root, n_epochs=2, num_partitions=4)
-    pipe.run()
-    before = _sorted(pipe.ledger().to_pandas())
-    m0 = pipe.compact(through_epoch=0)
-    m1 = pipe.compact()
-    assert m0["gen"] == 0 and m1["gen"] == 1
-    # GC whose view of "committed generations" predates gen 1: the
-    # first compactions() call inside gc_compacted sees only gen 0
-    real = pipe.compactions
-    calls = {"n": 0}
-
-    def stale_first():
-        calls["n"] += 1
-        return [0] if calls["n"] == 1 else real()
-
-    pipe.compactions = stale_first
-    pipe.gc_compacted()
-    pipe.compactions = real
-    # gen 1 (the newest committed data) survives intact
-    assert os.path.isdir(m1["dir"]), "concurrently committed gen swept"
-    for info in pipe.compaction_manifest(1)["partitions"].values():
-        assert os.path.exists(info["file"])
-    pd.testing.assert_frame_equal(_sorted(pipe.ledger().to_pandas()), before)
-    # and a later normal GC (snapshot includes gen 1) sweeps gen 0
-    pipe.gc_compacted()
-    assert not os.path.isdir(m0["dir"])
-    pd.testing.assert_frame_equal(_sorted(pipe.ledger().to_pandas()), before)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_gc_refuses_when_latest_generation_damaged(tmp_path):
-    """If the latest manifest points at files that don't exist, GC must
-    refuse to delete the source epoch files — they are the only copy."""
-    root = str(tmp_path / "store")
-    pipe = TransferParserPipeline(SF, root, n_epochs=2, num_partitions=4)
-    pipe.run()
-    before = _sorted(pipe.ledger().to_pandas())
-    m = pipe.compact()
-    victim = next(iter(m["partitions"].values()))["file"]
-    os.remove(victim)
-    gc = pipe.gc_compacted()
-    assert gc["deleted"] == 0 and gc["aborted_missing"] == [victim]
-    # every pre-compaction epoch file is still on disk
-    epoch_files = glob.glob(os.path.join(root, "epoch=*", "*.parquet"))
-    assert epoch_files, "GC deleted epoch files behind a damaged gen"
-    # and the data is recoverable by re-reading the epochs directly
-    got = _sorted(pd.concat(map(pd.read_parquet, epoch_files)))
-    pd.testing.assert_frame_equal(got.reset_index(drop=True), before)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_concurrent_ingest_compact_gc_chaos(tmp_path):
-    """Adversarial interleaving soak: one thread ingests all epochs
-    while two churn threads repeatedly compact + GC the same store
-    (the multi-writer shape both discovered races lived in — the
-    LWW-manifest overwrite and the GC generation-snapshot TOCTOU).
-    No thread may error, and the final ledger must equal a quiet
-    single-writer run's — under ANY interleaving the protocol allows:
-    compaction clamps to the contiguous committed prefix, manifest
-    commits are exclusive-create, GC sweeps only generations in its
-    own snapshot."""
-    import random
-    import threading
-    import time as _time
-
-    quiet = TransferParserPipeline(
-        SF, str(tmp_path / "quiet"), n_epochs=4, num_partitions=4
-    )
-    quiet.run()
-    expected = _sorted(quiet.ledger().to_pandas())
-
-    root = str(tmp_path / "store")
-    pipe = TransferParserPipeline(SF, root, n_epochs=4, num_partitions=4)
-    errs: list = []
-
-    def ingest():
-        try:
-            pipe.run()
-        except Exception as e:  # noqa: BLE001 — recorded and asserted
-            errs.append(("ingest", repr(e)))
-
-    def churn(seed: int):
-        rng = random.Random(seed)
-        p = TransferParserPipeline(SF, root, n_epochs=4, num_partitions=4)
-        try:
-            for _ in range(5):
-                _time.sleep(rng.uniform(0.0, 0.08))
-                p.compact()
-                p.gc_compacted()
-        except Exception as e:  # noqa: BLE001
-            errs.append(("churn", repr(e)))
-
-    threads = [threading.Thread(target=ingest)] + [
-        threading.Thread(target=churn, args=(s,)) for s in (11, 23)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errs, errs
-    # settle: fold whatever the churners missed, sweep, then compare
-    pipe.compact()
-    pipe.gc_compacted()
-    pd.testing.assert_frame_equal(_sorted(pipe.ledger().to_pandas()), expected)
-    # the store is left sane: exactly one compact dir (the latest
-    # generation's), every manifest-referenced file present
-    latest = pipe.latest_compaction()
-    for info in latest["partitions"].values():
-        assert os.path.exists(info["file"])
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_chaos_concurrent_waves_compactors_and_gc(tmp_path):
-    """VERDICT r4 #6: the composition chaos run. Epoch waves append
-    concurrently (pipelined epochs) while TWO independent compactor
-    threads — separate pipeline instances on the same store, the
-    multi-writer deployment shape — loop compact()+gc_compacted()
-    against the moving store the whole time. Every invariant the
-    pieces pin individually must hold under the composition: coverage
-    clamps to the contiguous committed prefix, the exclusive-create
-    manifest commit makes one winner per generation, GC never deletes
-    files a live generation needs, and the final ledger is
-    bit-identical to the one-shot query."""
-    import threading
-    import time as _time
-
-    from cosmwasm_etl_ray.compat import ensure_thread_safe_lazy_imports
+def test_ledger_reads_past_a_commit_gap(tmp_path):
+    """Concurrent waves commit out of order: with epoch 1 in flight the
+    ledger holds exactly epochs 0 and 2, and once 1 commits, all."""
     from cosmwasm_etl_ray.pipelines.queries_transfers import transfer_ledger
 
-    ensure_thread_safe_lazy_imports()
-    root = str(tmp_path / "store")
-    pipe = TransferParserPipeline(SF, root, n_epochs=6, num_partitions=4)
-    stop = threading.Event()
+    want = _sorted(transfer_ledger(SF).to_pandas())
+    pipe = TransferParserPipeline(SF, str(tmp_path / "store"), n_epochs=3, num_partitions=4)
+    plan = pipe.plan_epochs()
+    pipe.run_epoch(0, *plan[0])
+    pipe.run_epoch(2, *plan[2])
+    gap = (want.tx_id >= plan[1][0]) & (want.tx_id < plan[1][1])
+    pd.testing.assert_frame_equal(_sorted(pipe.ledger().to_pandas()), _sorted(want[~gap]))
+    pipe.run_epoch(1, *plan[1])
+    pd.testing.assert_frame_equal(_sorted(pipe.ledger().to_pandas()), want)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_concurrent_waves_with_a_reader(tmp_path, monkeypatch):
+    """Epoch waves run concurrently, cut into runs by a low row target,
+    while a reader thread calls ledger() over and over: every read is
+    the union of whole epochs of the quiet run, and the last is all of
+    it."""
+    import threading
+    import time
+
+    monkeypatch.setattr(tp, "ROW_GROUP_ROWS", 200)
+    quiet = TransferParserPipeline(SF, str(tmp_path / "quiet"), n_epochs=6, num_partitions=4)
+    quiet.run(max_concurrent=1)
+    want = _sorted(quiet.ledger().to_pandas())
+    plan = quiet.plan_epochs()
+    by_epoch = [_sorted(want[(want.tx_id >= lo) & (want.tx_id < hi)]) for lo, hi in plan]
+
+    pipe = TransferParserPipeline(SF, str(tmp_path / "store"), n_epochs=6, num_partitions=4)
+    commit = pipe.store.commit_epoch
+
+    def slow_commit(*a, **k):  # hold each partial store long enough to be read
+        out = commit(*a, **k)
+        time.sleep(0.2)
+        return out
+
+    monkeypatch.setattr(pipe.store, "commit_epoch", slow_commit)
+    done = threading.Event()
+    reads: list = []
     errs: list = []
 
-    def compactor_loop():
-        p = TransferParserPipeline(SF, root, n_epochs=6, num_partitions=4)
-        while not stop.is_set():
-            try:
-                if p.compact() is not None:
-                    p.gc_compacted()
-            except Exception as e:  # pragma: no cover - chaos surface
-                errs.append(e)
-                return
-            _time.sleep(0.05)
+    def reader():
+        try:
+            while not done.is_set():
+                df = pipe.ledger().to_pandas()
+                if len(df):  # an empty ledger converts to a frame without columns
+                    reads.append(_sorted(df))
+        except Exception as e:  # noqa: BLE001 — recorded and asserted
+            errs.append(repr(e))
 
-    threads = [threading.Thread(target=compactor_loop) for _ in range(2)]
-    for t in threads:
-        t.start()
+    t = threading.Thread(target=reader)
+    t.start()
     try:
         results = pipe.run(max_concurrent=3)
     finally:
-        stop.set()
-        for t in threads:
-            t.join()
-    assert not errs, errs
+        done.set()
+        t.join(timeout=120)
+    assert not t.is_alive() and not errs, errs
     assert all(not r["skipped"] for r in results)
-    # settle: one final fold + GC must cover the whole committed range
-    pipe.compact()
-    pipe.gc_compacted()
-    latest = pipe.latest_compaction()
-    assert latest is not None and latest["through_epoch"] == 5
-    # GC kept exactly the latest generation's directory
-    import os as _os
+    reads.append(_sorted(pipe.ledger().to_pandas()))
+    assert any(len(got) < len(want) for got in reads), "no read saw a partial store"
+    for got in reads:
+        for (lo, hi), whole in zip(plan, by_epoch):
+            part = _sorted(got[(got.tx_id >= lo) & (got.tx_id < hi)])
+            if len(part):
+                pd.testing.assert_frame_equal(part, whole)
+    pd.testing.assert_frame_equal(reads[-1], want)
 
-    cdir = _os.path.join(root, "compact")
-    assert len(_os.listdir(cdir)) == 1
-    got = _sorted(pipe.ledger().to_pandas())
-    want = _sorted(transfer_ledger(SF).to_pandas())
-    pd.testing.assert_frame_equal(got, want)
+
+@pytest.mark.usefixtures("ray_session")
+def test_missing_committed_file_fails_loudly(tmp_path):
+    """A committed epoch whose ledger file is gone makes ledger() raise,
+    never return the other epochs' rows as if they were the ledger."""
+    pipe = TransferParserPipeline(SF, str(tmp_path / "store"), n_epochs=2)
+    pipe.run()
+    os.remove(pipe.epoch_files()[0])
+    with pytest.raises(Exception, match="No such file|not found|does not exist"):
+        pipe.ledger().to_pandas()

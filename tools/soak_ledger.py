@@ -1,18 +1,17 @@
-"""Many-epoch append-store soak: measure what compaction buys.
+"""Many-epoch transfer-ledger soak: the files a long parse leaves and
+the cost of reading them back.
 
 Builds a K× stress lineitem (orderkey-shifted concat, staying
 tx-ordered so row-group pruning keeps working), runs the transfer
-parser at E epochs × P partitions (E×P small files), then times a full
-ledger scan before compaction, the compaction itself, and the scan
-after compaction + GC. Prints one JSON line.
+parser at E epochs × P partitions, then times a full ledger scan.
+Prints one JSON line: parse_s, files, scan_s and ledger_rows.
 
-Usage: python tools/soak_compaction.py [--mult 4] [--epochs 32] [--parts 32]
+Usage: python tools/soak_ledger.py [--mult 4] [--epochs 32] [--parts 32]
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import shutil
@@ -47,13 +46,6 @@ def build_stress(sf_dir: str, out_dir: str, mult: int) -> str:
     return out
 
 
-def timed_scan(pipe) -> tuple[float, int, int]:
-    files = pipe.epoch_files()
-    t0 = time.time()
-    n = pipe.ledger().count()
-    return time.time() - t0, len(files), int(n)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf-dir", default=os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1"))
@@ -77,7 +69,7 @@ def main() -> int:
 
     from cosmwasm_etl_ray.pipelines.transfer_parser import TransferParserPipeline
 
-    work = tempfile.mkdtemp(prefix="soak_compact_", dir="/tmp")
+    work = tempfile.mkdtemp(prefix="soak_ledger_", dir="/tmp")
     try:
         src_dir = os.path.join(work, "src")
         os.makedirs(src_dir)
@@ -93,31 +85,22 @@ def main() -> int:
         pipe.run(max_concurrent=8)
         parse_s = time.time() - t0
 
-        scan_before_s, files_before, rows_before = timed_scan(pipe)
+        files = pipe.epoch_files()
         t0 = time.time()
-        pipe.compact()
-        compact_s = time.time() - t0
-        gc = pipe.gc_compacted()
-        scan_after_s, files_after, rows_after = timed_scan(pipe)
-        assert rows_before == rows_after, (rows_before, rows_after)
-        leftover = glob.glob(os.path.join(pipe.store.root, "epoch=*", "*.parquet"))
+        rows = int(pipe.ledger().count())
+        scan_s = time.time() - t0
 
         print(
             json.dumps(
                 {
-                    "metric": "compaction_soak",
+                    "metric": "ledger_soak",
                     "mult": args.mult,
                     "epochs": args.epochs,
                     "parts": args.parts,
-                    "ledger_rows": rows_before,
+                    "ledger_rows": rows,
                     "parse_s": round(parse_s, 2),
-                    "files_before": files_before,
-                    "files_after": files_after,
-                    "scan_before_s": round(scan_before_s, 2),
-                    "scan_after_s": round(scan_after_s, 2),
-                    "compact_s": round(compact_s, 2),
-                    "gc_deleted": gc["deleted"],
-                    "epoch_files_left": len(leftover),
+                    "files": len(files),
+                    "scan_s": round(scan_s, 2),
                 }
             )
         )
