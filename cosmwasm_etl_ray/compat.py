@@ -1,6 +1,6 @@
 """Runtime compatibility shims.
 
-One shim so far: Ray Data's ``read_parquet`` lazily imports
+``ensure_thread_safe_lazy_imports``: Ray Data's ``read_parquet`` imports
 ``fsspec.implementations.http`` inside ``_is_http_filesystem`` and
 catches ``ModuleNotFoundError`` (ray/data/datasource/path_util.py:152).
 In this environment the import always fails (no ``aiohttp``), so it is
@@ -77,3 +77,15 @@ def task_cap() -> int:
     import ray
 
     return 2 * int(ray.cluster_resources().get("CPU", 32))
+
+
+def empty_dataset(empty) -> "ray.data.Dataset":
+    """``ray.data.from_arrow`` of the 0-row table ``empty``, whose
+    ``to_pandas()`` keeps the typed columns: Ray Data 2.49's drops every
+    column of a Dataset with no rows (its ``schema()`` is right). A
+    transform of it returns a plain Dataset, which drops them again."""
+    import ray.data
+
+    ds = ray.data.from_arrow(empty)
+    ds.to_pandas = lambda limit=None: empty.to_pandas()
+    return ds

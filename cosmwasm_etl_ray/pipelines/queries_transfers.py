@@ -27,14 +27,13 @@ import pandas as pd
 
 import ray.data
 
+from cosmwasm_etl_ray.pipelines.transfer_parser import LEDGER_COLS
 from cosmwasm_etl_ray.sources.rawlogs import raw_logs_from_lineitem
 from cosmwasm_etl_ray.stages.transfers import (
     TransferMapperFamily,
     decode_raw_logs_batch,
     eliminate_duplicate_transfers,
 )
-
-_LEDGER_COLS = ["tx_id", "log_idx", "pair", "token", "ttype", "amount"]
 
 # one materialized ledger per sf_dir, shared by transfer_ledger /
 # transfer_pair_flows in the same process (a Dataset consumed twice
@@ -59,7 +58,7 @@ def _ledger_ds(sf_dir: str) -> "ray.data.Dataset":
 
 
 def transfer_ledger(sf_dir: str) -> "ray.data.Dataset":
-    return _ledger_ds(sf_dir).select_columns(_LEDGER_COLS)
+    return _ledger_ds(sf_dir).select_columns(LEDGER_COLS)
 
 
 def transfer_quarantine(sf_dir: str) -> "ray.data.Dataset":
@@ -98,7 +97,7 @@ def transfer_ledger_epochs(sf_dir: str) -> "ray.data.Dataset":
     try:
         pipe = TransferParserPipeline(sf_dir, root, n_epochs=4)
         pipe.run()
-        return pipe.ledger().select_columns(_LEDGER_COLS).materialize()
+        return pipe.ledger().select_columns(LEDGER_COLS).materialize()
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -123,7 +122,7 @@ def transfer_ledger_resumed(sf_dir: str) -> "ray.data.Dataset":
             first.run_epoch(e, lo, hi)
         pipe = TransferParserPipeline(sf_dir, root, n_epochs=4)
         pipe.run()
-        return pipe.ledger().select_columns(_LEDGER_COLS).materialize()
+        return pipe.ledger().select_columns(LEDGER_COLS).materialize()
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

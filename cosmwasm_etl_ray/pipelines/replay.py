@@ -72,7 +72,6 @@ from cosmwasm_etl_ray.functions.hashing import (
 from cosmwasm_etl_ray.stages.merge import OP_COL, MergeWithState, combine_keep
 from cosmwasm_etl_ray.stages.normalize import flag
 from cosmwasm_etl_ray.state.delta import partition_slices, read_chains
-from cosmwasm_etl_ray.state.manifest import manifest_entries
 
 
 def _pid_groups(P: int, cap: int) -> list[int]:
@@ -171,7 +170,7 @@ def _committed_prior(store, bounds: list[int]) -> dict[int, tuple]:
             f"store was built with num_partitions={committed_p}; "
             f"config asks for {P} — refusing to mix"
         )
-    committed = {int(p): info for p, info in manifest_entries(m).items()} if m else {}
+    committed = {int(p): info for p, info in m.get("partitions", {}).items()}
     return {
         g: ([], {p: committed[p] for p in range(lo, hi) if p in committed})
         for g, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
@@ -388,11 +387,11 @@ def pending_files(files: list[str], store) -> tuple[list[str], int]:
         return files, 0
     fileset = set(files)
     # walk manifests newest-first to the most recent FILE cursor —
-    # bootstrap/repair/quarantine epochs (and the compaction epochs of
-    # format-1 stores) carry no file range and are skipped
+    # bootstrap/repair/quarantine epochs carry no file range and are
+    # skipped
     for e in reversed(store.committed_epochs()):
         hi = store.manifest(e)["offset_range"][1]
-        if not hi or hi in ("bootstrap", "repair", "quarantine", "compact"):
+        if not hi or hi in ("bootstrap", "repair", "quarantine"):
             continue
         if hi in fileset:
             return files[files.index(hi) + 1 :], latest + 1
@@ -479,14 +478,13 @@ def _empty_state_table() -> "pa.Table":
     )
 
 
-def _live_rows(t: "pa.Table", drop=(OP_COL, "pid", "key64")) -> "pa.Table":
-    """The serving view of folded chains: tombstones and
-    store-internal columns dropped (``key64``, the routing hash, is
-    only in stores written before the fold went exact-key),
-    Arrow-native (the wide content strings never convert to pandas
-    just for a tombstone filter)."""
+def _live_rows(t: "pa.Table") -> "pa.Table":
+    """The serving view of folded chains: tombstones and the
+    store-internal ``op``/``pid`` columns dropped, Arrow-native (the
+    wide content strings never convert to pandas just for a tombstone
+    filter)."""
     t = t.filter(pc.not_equal(t[OP_COL], pa.scalar("delete")))
-    return t.drop_columns([c for c in drop if c in t.column_names])
+    return t.drop_columns([c for c in (OP_COL, "pid") if c in t.column_names])
 
 
 def read_state(store, epoch: int | None = None) -> "ray.data.Dataset":

@@ -40,6 +40,7 @@ paying one per epoch here.
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -47,7 +48,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from cosmwasm_etl_ray.compat import cached_remote, task_cap
+from cosmwasm_etl_ray.compat import cached_remote, empty_dataset, task_cap
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
 from cosmwasm_etl_ray.stages.merge import ROW_GROUP_ROWS
 from cosmwasm_etl_ray.stages.transfers import (
@@ -57,7 +58,11 @@ from cosmwasm_etl_ray.stages.transfers import (
 from cosmwasm_etl_ray.state import durable
 from cosmwasm_etl_ray.state.manifest import StateStore
 
-LEDGER_COLS = ["tx_id", "log_idx", "pair", "token", "ttype", "amount"]
+_LEDGER_SCHEMA = pa.schema(
+    [("tx_id", pa.int64()), ("log_idx", pa.int64()), ("pair", pa.string()),
+     ("token", pa.string()), ("ttype", pa.string()), ("amount", pa.int64())]
+)
+LEDGER_COLS = _LEDGER_SCHEMA.names
 
 
 def _split_by_tx_pid(t: pa.Table, P: int) -> list[pa.Table | None]:
@@ -264,6 +269,10 @@ class TransferParserPipeline:
         repository.go:63-122)."""
         if self.store.is_committed(epoch):
             return {"epoch": epoch, "skipped": True}
+        # a crashed run of this epoch may have cut its pids into other
+        # files: they go before this run writes its own
+        for d in (self.store.root, self.store.quarantine_dir):
+            shutil.rmtree(os.path.join(d, f"epoch={epoch}"), ignore_errors=True)
 
         import ray as _ray
 
@@ -332,7 +341,8 @@ class TransferParserPipeline:
         """Every committed epoch's OWN ledger files (each manifest also
         carries forward earlier epochs' entries, filtered back out by
         their recorded epoch). A crashed run's files are named by no
-        manifest, so they are never read."""
+        manifest, so they are never read; the epoch's next run deletes
+        them."""
         return sorted(
             info["file"]
             for e in self.store.committed_epochs()
@@ -343,19 +353,5 @@ class TransferParserPipeline:
     def ledger(self) -> "ray.data.Dataset":
         files = self.epoch_files()
         if not files:
-            # the REAL ledger dtypes — an all-int64 empty would give
-            # schema-dependent consumers (unions, dtype-checked reads)
-            # a wrong-schema frame
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "tx_id": pa.array([], pa.int64()),
-                        "log_idx": pa.array([], pa.int64()),
-                        "pair": pa.array([], pa.string()),
-                        "token": pa.array([], pa.string()),
-                        "ttype": pa.array([], pa.string()),
-                        "amount": pa.array([], pa.int64()),
-                    }
-                )
-            )
+            return empty_dataset(_LEDGER_SCHEMA.empty_table())
         return ray.data.read_parquet(files)

@@ -84,10 +84,10 @@ ROW_GROUP_ROWS = 1 << 17
 def appends(chain_rows: list[int] | None, epoch_rows: int) -> bool:
     """The append-or-fold decision from counts the manifest already
     holds: ``chain_rows`` is the row count of each file of the pid's
-    chain (base first; None when an older manifest did not record
-    them, [] for a pid with no state — both fold) and ``epoch_rows``
-    the epoch's rows for the pid before their fold (an upper bound of
-    the link's rows, so deciding costs no extra fold)."""
+    chain (base first; None for a bare prior file name, [] for a pid
+    with no state — both fold) and ``epoch_rows`` the epoch's rows for
+    the pid before their fold (an upper bound of the link's rows, so
+    deciding costs no extra fold)."""
     return (
         bool(chain_rows)
         and len(chain_rows) < MAX_CHAIN_LINKS
@@ -369,13 +369,7 @@ class MergeWithState:
             for pid, (chain, _, bare) in want:
                 for _ in chain:
                     t = next(tabs)
-                    if bare:
-                        t = t.filter(pc.equal(t["pid"], pid))
-                    if "key64" in t.column_names:
-                        # the routing hash that stores written before the
-                        # exact-key fold carry: a new base drops it
-                        t = t.drop_columns(["key64"])
-                    prior.append(t)
+                    prior.append(t.filter(pc.equal(t["pid"], pid)) if bare else t)
             rows = group if len(cuts) == 2 else group.filter(
                 pa.array((vpid >= pids[a]) & (vpid <= pids[b - 1]))
             )

@@ -42,9 +42,9 @@ import pyarrow.parquet as pq
 
 import ray
 
-from cosmwasm_etl_ray.compat import cached_remote, task_cap
+from cosmwasm_etl_ray.compat import cached_remote, empty_dataset, task_cap
 from cosmwasm_etl_ray.stages.merge import _conform, fold_lww_arrow
-from cosmwasm_etl_ray.state.manifest import Slice, entry_slices, manifest_entries
+from cosmwasm_etl_ray.state.manifest import Slice, entry_slices
 
 FOLD_COLS = ["repo", "path", "commit"]  # what a fold reads besides the caller's columns
 
@@ -61,7 +61,7 @@ def partition_slices(
         return {}
     return {
         int(pid): entry_slices(info)
-        for pid, info in manifest_entries(store.manifest(epoch)).items()
+        for pid, info in store.manifest(epoch)["partitions"].items()
         if touched_after is None or info["epoch"] > touched_after
     }
 
@@ -123,14 +123,8 @@ def read_slices(slices: list[Slice], columns: list[str] | None = None) -> list[p
 
 
 def slices_schema(slices: list[Slice]) -> list[pa.Schema]:
-    """The schemas (footers only) of the files the slices name, without
-    the ``key64`` column of stores written before the exact-key fold."""
-    out = []
-    for f in dict.fromkeys(s.file for s in slices):
-        schema = pq.read_schema(f)
-        i = schema.get_field_index("key64")
-        out.append(schema if i < 0 else schema.remove(i))
-    return out
+    """The schemas (footers only) of the files the slices name."""
+    return [pq.read_schema(f) for f in dict.fromkeys(s.file for s in slices)]
 
 
 def _fold_tables(chains: list[list[pa.Table]], columns: list[str] | None) -> pa.Table | None:
@@ -235,4 +229,4 @@ def read_chains(items, fn, *args, empty: pa.Table, **kw) -> "ray.data.Dataset":
     import ray.data
 
     refs = [r for _, r in map_chains(items, fn, *args, **kw)]
-    return ray.data.from_arrow_refs(refs) if refs else ray.data.from_arrow(empty)
+    return ray.data.from_arrow_refs(refs) if refs else empty_dataset(empty)

@@ -10,7 +10,7 @@ CAS on the prior cursor) onto a Parquet lake:
   append);
 - an epoch is COMMITTED only when ``manifests/epoch-{e:06d}.json``
   exists; that file is itself written tmp+rename (the atomic commit
-  point) and carries full lineage per partition: file path, row
+  point) and carries full lineage per partition: file name, row
   counts, applied-event counts, the source offset range
   (= the synced-height cursor), and which epoch last wrote each
   partition (untouched partitions carry forward);
@@ -19,32 +19,34 @@ CAS on the prior cursor) onto a Parquet lake:
   writes one file per (epoch, pid-group) with rows in (pid, repo,
   path) order, so a group's pids share the file and each entry names
   its pid's rows; gc keeps a file while any kept entry names a slice
-  of it. An entry without ``offset`` names the whole file (format-1
-  and format-2 stores, and callers that write one file per pid);
+  of it. An entry without ``offset`` names the whole file (callers
+  that write one file per pid, and the transfer ledger);
 - an entry is a BASE (the pid's whole state in one slice: ``file``,
   ``offset``, ``rows``, ``live_rows``, ``epoch``) or an appended LINK,
   which adds the pid's chain of slices, base first and itself last:
   ``chain`` (their files), ``chain_offsets`` and ``chain_rows``
   (``rows``/``live_rows`` count the link's own slice). The merge link
   decides which it writes from those counts (stages/merge.appends);
-  manifests carry ``"format": 3``;
 - resume = read the max committed epoch, replay from its
   ``offset_range[1] + 1``; a crash after partition writes but before
   the manifest leaves the epoch uncommitted and the re-run overwrites
   the same filenames → reconverges to identical state (LWW by commit
   is idempotent).
 
+Manifests carry ``"format": 4`` and the ``root`` that wrote them, and
+name each ``file``/``chain`` file under that root relative to it (one
+outside it, shared with a cloned store, by absolute name). Only
+``StateStore`` knows this: ``commit_epoch`` records names so, and
+``manifest()``, the one read point, refuses any other format and joins
+names to the store root. A copied or moved store reads and sweeps its
+own files; one holding a copy of another's manifests alone (a shallow
+clone) reads the files it lacks from the writing root. ``offset_range``
+names change-log files and is recorded as given.
+
 The layout is resumable-by-partition at 100 TB: state is one file per
 pid-group per touching epoch (at most 2×NCPU files an epoch), never one
 giant file, and the pid stays the unit of routing and of the
 append-or-fold decision.
-
-Older manifests stay readable: format-2 entries name whole files,
-format-1 full-layout entries and compaction ``base`` entries are
-bases, format-1 delta links carry ``chain`` without ``chain_rows``
-(their next write folds). A format-1
-delta manifest written before chains were recorded names only each
-pid's newest link, so ``manifest_entries`` refuses it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import NamedTuple
 from cosmwasm_etl_ray.state import durable
 
 _MANIFEST_RE = re.compile(r"^epoch-(\d{6})\.json$")
-MANIFEST_FORMAT = 3
+MANIFEST_FORMAT = 4
 
 
 class Slice(NamedTuple):
@@ -70,56 +72,39 @@ class Slice(NamedTuple):
     rows: int | None = None
 
 
-def entry_chain(info: dict) -> list[str]:
-    """One manifest partition entry's chain files: a link records
-    them; a base is its own chain."""
-    return info.get("chain") or [info["file"]]
-
-
 def entry_slices(info: dict) -> list[Slice]:
-    """One manifest partition entry's chain as slices, base first;
-    an entry that records no offsets names whole files."""
-    files = entry_chain(info)
+    """One manifest partition entry's chain as slices, base first; an
+    entry without ``offset`` names its whole file."""
     if "chain" in info:
-        offsets = info.get("chain_offsets") or [None] * len(files)
-    else:
-        offsets = [info.get("offset")]
-    rows = entry_chain_rows(info) or [None] * len(files)
-    return [Slice(f, o, None if o is None else r) for f, o, r in zip(files, offsets, rows)]
+        return [Slice(*s) for s in zip(info["chain"], info["chain_offsets"], info["chain_rows"])]
+    offset = info.get("offset")
+    return [Slice(info["file"], offset, None if offset is None else info["rows"])]
 
 
 def entry_chain_rows(info: dict) -> list[int] | None:
     """Row count of each file of the entry's chain, or None when the
-    manifest that wrote it did not record them."""
+    entry records none (a bare file name)."""
     if "chain" in info:
-        return info.get("chain_rows")
+        return info["chain_rows"]
     return [info["rows"]] if "rows" in info else None
 
 
-def manifest_entries(m: dict) -> dict[str, dict]:
-    """One manifest's pid → partition entry map; refuses a delta
-    manifest written before chains were recorded (no ``format``,
-    ``layout: "delta"``, an entry with neither ``chain`` nor ``base``):
-    its entries name only each pid's newest link, so reading them would
-    serve one epoch's slice as the whole state."""
-    if "format" not in m and m.get("layout") == "delta":
-        for pid, info in m["partitions"].items():
-            if "chain" not in info and not info.get("base"):
-                raise ValueError(
-                    f"manifest of epoch {m['epoch']} is a delta-layout manifest "
-                    f"written before chains were recorded (pid {pid} has neither "
-                    "'chain' nor 'base'); its state cannot be read — rebuild the "
-                    "store by replaying the change log"
-                )
-    return m["partitions"]
+def _map_names(partitions: dict[str, dict], fn) -> dict[str, dict]:
+    """The partition entries with ``fn`` applied to every ``file`` and
+    ``chain`` name."""
+    out = {pid: {**info, "file": fn(info["file"])} for pid, info in partitions.items()}
+    for info in out.values():
+        if "chain" in info:
+            info["chain"] = [fn(f) for f in info["chain"]]
+    return out
 
 
 class StateStore:
     def __init__(self, root: str):
-        self.root = root
-        self.manifest_dir = os.path.join(root, "manifests")
-        self.state_dir = os.path.join(root, "state")
-        self.quarantine_dir = os.path.join(root, "quarantine")
+        self.root = os.path.abspath(root)
+        self.manifest_dir = os.path.join(self.root, "manifests")
+        self.state_dir = os.path.join(self.root, "state")
+        self.quarantine_dir = os.path.join(self.root, "quarantine")
         for d in (self.manifest_dir, self.state_dir, self.quarantine_dir):
             os.makedirs(d, exist_ok=True)
 
@@ -142,9 +127,37 @@ class StateStore:
     def _mpath(self, epoch: int) -> str:
         return os.path.join(self.manifest_dir, f"epoch-{epoch:06d}.json")
 
-    def manifest(self, epoch: int) -> dict:
+    def _load(self, epoch: int) -> dict:
+        """The manifest as recorded (root-relative names); refuses any
+        format but MANIFEST_FORMAT."""
         with open(self._mpath(epoch)) as f:
-            return json.load(f)
+            m = json.load(f)
+        if m.get("format") != MANIFEST_FORMAT:
+            raise ValueError(f"manifest of epoch {epoch} in {self.root} is format "
+                             f"{m.get('format')}, not {MANIFEST_FORMAT}: replay the "
+                             "change log into a new store")
+        return m
+
+    def _resolve(self, m: dict) -> dict:
+        """``m`` with every name joined to the store root, or, in a
+        manifest another root wrote, to that root where this store
+        holds no copy of the file (it copied the manifests alone)."""
+        def join(name: str) -> str:
+            own = os.path.join(self.root, name)
+            if m["root"] == self.root or os.path.exists(own):
+                return own
+            return os.path.join(m["root"], name)
+
+        return {**m, "partitions": _map_names(m["partitions"], join)}
+
+    def _relative(self, name: str) -> str:
+        """``name`` relative to the store root; absolute outside it."""
+        return os.path.abspath(name).removeprefix(self.root + os.sep)
+
+    def manifest(self, epoch: int) -> dict:
+        """The committed manifest of ``epoch``, every file name joined
+        to the store root (absolute names stay as they are)."""
+        return self._resolve(self._load(epoch))
 
     # ---- lineage ----
     def partition_files(self, epoch: int | None = None) -> dict[int, str]:
@@ -174,35 +187,34 @@ class StateStore:
     ) -> dict:
         """Atomic commit: carry forward untouched partitions from the
         previous manifest, record touched ones as given (an entry with a
-        ``chain`` is an appended link, any other entry a base), rename
-        into place. ``num_partitions`` is recorded because it is part of
-        the store's identity (pid routing); the replay validates it on
-        resume. ``layout`` is accepted for callers written against
-        format-1 stores and ignored: how a pid's state was written no
-        longer identifies a store. ``timings`` (where the epoch's time
-        and bytes went) is recorded as given."""
+        ``chain`` is an appended link, any other entry a base), names
+        made root-relative, rename into place; returns the manifest as
+        ``manifest()`` reads it. ``num_partitions`` is part of the
+        store's identity (pid routing; the replay validates it on
+        resume). ``layout`` is accepted and ignored. ``timings`` (where
+        the epoch's time and bytes went) is recorded as given."""
         prev = self.latest_epoch()
         partitions: dict[str, dict] = {}
         if prev is not None:
-            prev_manifest = self.manifest(prev)
-            partitions.update(prev_manifest["partitions"])
+            prev_manifest = self._load(prev)
+            partitions.update(self._resolve(prev_manifest)["partitions"])
             if num_partitions is None:
                 num_partitions = prev_manifest.get("num_partitions")
-        for pid, info in touched.items():
-            partitions[str(pid)] = {**info, "epoch": epoch}
+        partitions.update({str(pid): {**info, "epoch": epoch} for pid, info in touched.items()})
         manifest = {
             "format": MANIFEST_FORMAT,
             "epoch": epoch,
+            "root": self.root,
             "offset_range": list(offset_range),
             "committed_at": time.time(),
             "counts": counts,
             "num_partitions": num_partitions,
-            "partitions": partitions,
+            "partitions": _map_names(partitions, self._relative),
         }
         if timings is not None:
             manifest["timings"] = timings
         durable.write_json(self._mpath(epoch), manifest)
-        return manifest
+        return self._resolve(manifest)
 
     # ---- snapshots dir for validation ----
     def snapshot_path(self, epoch: int) -> str:

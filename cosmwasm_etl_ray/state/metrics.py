@@ -11,19 +11,18 @@ reference deriving task progress from its dest tables,
 from __future__ import annotations
 
 import numpy as np
-import pyarrow.parquet as pq
 
-from cosmwasm_etl_ray.state.manifest import entry_chain, entry_chain_rows
+from cosmwasm_etl_ray.state.manifest import entry_chain_rows
 
 
 def store_metrics(store) -> dict:
     """Roll up manifests → totals, per-epoch rates, partition stats,
     and the p50/p99 over the manifests of each value of their
     ``timings`` block (the merge's layer seconds and bytes written, the
-    slowest group link, the driver's wait; manifests written before it
-    was recorded are skipped). ``state_rows`` and the partition sizes
-    count every slice of each pid's chain; ``state_live_rows`` is None
-    while any pid holds an appended link."""
+    slowest group link, the driver's wait; manifests that record none
+    are skipped). ``state_rows`` and the partition sizes count every
+    slice of each pid's chain; ``state_live_rows`` is None while any
+    pid holds an appended link."""
     epochs = store.committed_epochs()
     per_epoch = []
     total_applied = 0
@@ -54,15 +53,11 @@ def store_metrics(store) -> dict:
     if latest is not None:
         parts = store.manifest(latest)["partitions"].values()
         # a pid's rows are its whole chain's (a link's own entry counts
-        # only its file; a format-1 link recorded no chain rows, so its
-        # files' footers are read), and no count of the chain's live
-        # rows exists until a fold writes a base
-        sizes = sorted(
-            sum(entry_chain_rows(p) or [pq.read_metadata(f).num_rows for f in entry_chain(p)])
-            for p in parts
-        )
+        # only its file), and no count of the chain's live rows exists
+        # until a fold writes a base
+        sizes = sorted(sum(entry_chain_rows(p) or ()) for p in parts)
         rows = sum(sizes)
-        linked = any(len(entry_chain(p)) > 1 for p in parts)
+        linked = any("chain" in p for p in parts)
         live_rows = None if linked else sum(p.get("live_rows", 0) for p in parts)
         partitions = {
             "count": len(sizes),

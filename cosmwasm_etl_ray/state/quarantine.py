@@ -50,7 +50,7 @@ def replay_quarantine(
 
     rows = pd.concat([pd.read_parquet(f) for f in files], ignore_index=True)
     rows = rows.sort_values(["commit", "repo", "path"], kind="stable")
-    rows = rows.drop(columns=[c for c in ("error", "pid", "key64", "valid") if c in rows.columns])
+    rows = rows.drop(columns=[c for c in ("error", "pid", "valid") if c in rows.columns])
     if fix_fn is not None:
         rows = fix_fn(rows)
 

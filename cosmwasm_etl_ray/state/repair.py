@@ -30,7 +30,8 @@ from cosmwasm_etl_ray.config import DEFAULT_CONFIG, EngineConfig
 from cosmwasm_etl_ray.functions.agg import sharded_map_groups
 from cosmwasm_etl_ray.pipelines.replay import apply_epoch, read_state
 from cosmwasm_etl_ray.sources.changes import COMMIT_WIDTH
-from cosmwasm_etl_ray.state.delta import map_chains, partition_slices
+from cosmwasm_etl_ray.stages.merge import OP_COL
+from cosmwasm_etl_ray.state.delta import map_chains, partition_slices, slices_schema
 
 KEY = ["repo", "path"]
 
@@ -63,14 +64,9 @@ def diff_state_vs_snapshot(
     # the state spec comes from ONE state file's parquet footer —
     # ds.schema() on the lazy read_state pipeline would execute part of
     # it (CLAUDE.md), only to be re-executed by the union below
-    import pyarrow.parquet as _pq
-
-    from cosmwasm_etl_ray.stages.merge import OP_COL
-
-    f0 = next(iter(store.partition_files().values()))
-    empty_state = _pq.read_schema(f0).empty_table().to_pandas()
-    drop_cols = (OP_COL, "pid", "key64")
-    state_names = [c for c in empty_state.columns if c not in drop_cols]
+    chain = next(iter(partition_slices(store).values()))
+    empty_state = slices_schema(chain[:1])[0].empty_table().to_pandas()
+    state_names = [c for c in empty_state.columns if c not in (OP_COL, "pid")]
     state_types = {c: empty_state.dtypes[c] for c in state_names}
     all_cols = list(dict.fromkeys(list(snap_names) + list(state_names)))
     all_types = {**state_types, **snap_types}

@@ -26,7 +26,7 @@ from cosmwasm_etl_ray.sources.generator import generate_change_stream
 from cosmwasm_etl_ray.stages.merge import FOLD_SHARE, MAX_CHAIN_LINKS
 from cosmwasm_etl_ray.state.delta import partition_chains
 from cosmwasm_etl_ray.state.gc import gc_state
-from cosmwasm_etl_ray.state.manifest import StateStore
+from cosmwasm_etl_ray.state.manifest import MANIFEST_FORMAT, StateStore
 
 # one epoch per file: the sparse log's 120-event files stay single epochs
 SPARSE = EngineConfig(num_partitions=8, epoch_max_events=120, batch_size=4096)
@@ -218,7 +218,7 @@ def test_delta_guard_rails(change_log, rewrite_every_epoch, tmp_path):
     replay_files(change_log[:2], store, SPARSE)
     before = partition_chains(store)
     m = apply_epoch(one, store, 2, SPARSE)
-    assert m["format"] == 3 and "layout" not in m
+    assert m["format"] == MANIFEST_FORMAT and "layout" not in m
     after = partition_chains(store)
     touched = [p for p, v in m["partitions"].items() if v["epoch"] == 2]
     assert touched
@@ -288,7 +288,7 @@ def test_dense_epochs_write_only_bases(dense_log, rewrite_every_epoch, tmp_path)
     assert len(store.committed_epochs()) == 4
     for e in store.committed_epochs():
         m = store.manifest(e)
-        assert m["format"] == 3
+        assert m["format"] == MANIFEST_FORMAT
         assert all(set(v) == BASE_KEYS for v in m["partitions"].values())
     ref = StateStore(str(tmp_path / "ref"))
     rewrite_every_epoch(dense_log, ref, DENSE)
@@ -352,8 +352,8 @@ def test_crash_mid_compaction_is_invisible_delta(stores, change_log, tmp_path):
 def test_pre_chain_delta_manifest_refused(tmp_path):
     """A delta-layout manifest written before chains were recorded (no
     format, an entry with neither chain nor base) names only each pid's
-    newest link: every reader and writer refuses it. Format-1 delta
-    links with a chain and compaction bases still read."""
+    newest link: every reader and writer refuses it with the format
+    refusal, whose way out is a replay."""
     store = StateStore(str(tmp_path / "old"))
     f = os.path.join(store.state_dir, "epoch=0", "part-00000.parquet")
     m = {"epoch": 0, "offset_range": ["a", "a"], "counts": {}, "num_partitions": 8,
@@ -361,12 +361,47 @@ def test_pre_chain_delta_manifest_refused(tmp_path):
          "partitions": {"0": {"file": f, "rows": 1, "live_rows": 1, "epoch": 0}}}
     with open(store._mpath(0), "w") as fh:
         json.dump(m, fh)
-    with pytest.raises(ValueError, match="before chains were recorded"):
+    with pytest.raises(ValueError, match="format None.*replay the change log into a new store"):
         partition_chains(store)
-    with pytest.raises(ValueError, match="before chains were recorded"):
+    with pytest.raises(ValueError, match="format None.*replay the change log into a new store"):
         apply_epoch(_events(range(1), 5), store, 1, SPARSE)
-    m["partitions"] = {"0": {"file": f, "rows": 1, "epoch": 0, "chain": ["a", f]},
-                       "1": {"file": "b", "rows": 1, "epoch": 0, "base": True}}
-    with open(store._mpath(0), "w") as fh:
-        json.dump(m, fh)
-    assert partition_chains(store) == {0: ["a", f], 1: ["b"]}
+    assert store.latest_epoch() == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_older_format_store_refused(change_log, tmp_path):
+    """A store whose manifests are not MANIFEST_FORMAT (here hand-set to
+    format 3, the last format before names went root-relative) is
+    refused by every reader and writer, naming the way out, and
+    gc_state deletes nothing of it."""
+    import shutil
+
+    from cosmwasm_etl_ray.pipelines.replay import epoch_diff
+    from cosmwasm_etl_ray.state.metrics import store_metrics
+
+    store = StateStore(str(tmp_path / "old"))
+    replay_files(change_log[:3], store, SPARSE)
+    for e in store.committed_epochs():
+        with open(store._mpath(e)) as fh:
+            m = json.load(fh)
+        assert m["format"] == MANIFEST_FORMAT
+        m["format"] = 3
+        with open(store._mpath(e), "w") as fh:
+            json.dump(m, fh)
+    # an unreferenced state file: gc_state would delete it in a store it reads
+    first = sorted(glob.glob(os.path.join(store.state_dir, "*", "*.parquet")))[0]
+    shutil.copy(first, os.path.join(os.path.dirname(first), "part-99999.parquet"))
+    before = sorted(glob.glob(os.path.join(store.root, "**", "*"), recursive=True))
+
+    refused = pytest.raises(ValueError, match="replay the change log into a new store")
+    for call in (
+        lambda: read_state(store),
+        lambda: read_state(store, epoch=1),
+        lambda: replay_files(change_log, store, SPARSE),
+        lambda: epoch_diff(store, 1, 2),
+        lambda: gc_state(store),
+        lambda: store_metrics(store),
+    ):
+        with refused:
+            call()
+    assert sorted(glob.glob(os.path.join(store.root, "**", "*"), recursive=True)) == before

@@ -23,7 +23,7 @@ from cosmwasm_etl_ray.pipelines.replay import (
     serial_oracle_replay,
 )
 from cosmwasm_etl_ray.sources.generator import generate_change_stream
-from cosmwasm_etl_ray.state.manifest import StateStore
+from cosmwasm_etl_ray.state.manifest import MANIFEST_FORMAT, StateStore
 
 DIRECT_CFG = EngineConfig(
     num_partitions=8, epoch_max_events=15_000, batch_size=4096
@@ -132,7 +132,7 @@ def test_apply_epoch_direct_single(change_log, tmp_path):
     m = apply_epoch(ray.data.read_parquet(files), store, 0, DIRECT_CFG)
     q = glob.glob(os.path.join(store.quarantine_dir, "epoch=0", "*.parquet"))
     assert sum(len(pd.read_parquet(f)) for f in q) == m["counts"]["quarantined"]
-    assert m["format"] == 3 and m["num_partitions"] == 8
+    assert m["format"] == MANIFEST_FORMAT and m["num_partitions"] == 8
     cols = ["repo", "path", "commit", "content"]
     pd.testing.assert_frame_equal(_final(store)[cols], _oracle(files)[cols])
 

@@ -1,7 +1,9 @@
 """Durable writes (state/durable.py): every tmp+rename commit of the
-program goes through the module (lint), gc sweeps only dead writers'
-tmps, a snapshot is never torn, and a crash at any durable write of a
-CDC epoch — appending or folding — re-runs to the no-crash store."""
+program goes through the module (lint), only state/manifest.py knows
+the manifest's format and file names (lint), gc sweeps only dead
+writers' tmps, a snapshot is never torn, and a crash at any durable
+write of a CDC epoch — appending or folding — re-runs to the no-crash
+store."""
 
 import ast
 import os
@@ -20,7 +22,7 @@ from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
 from cosmwasm_etl_ray.state import durable
 from cosmwasm_etl_ray.state.delta import partition_slices, read_slices
 from cosmwasm_etl_ray.state.gc import gc_state
-from cosmwasm_etl_ray.state.manifest import StateStore, manifest_entries
+from cosmwasm_etl_ray.state.manifest import StateStore
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPARSE = EngineConfig(num_partitions=8, epoch_max_events=120, batch_size=4096)
@@ -56,13 +58,41 @@ def test_durable_writes_go_through_one_module():
     assert not bad, "commit files through state/durable.py:\n" + "\n".join(bad)
 
 
+def test_only_the_manifest_module_knows_the_format_and_names():
+    """No ``key64`` or ``manifest_entries`` in the package (the readers
+    of older formats are gone), and no module but state/manifest.py
+    reads a manifest's "format" or makes a state name relative with
+    ``os.path.relpath(name, <store>.root or .state_dir)``: the format
+    check and the root-relative names live in StateStore alone."""
+    own = os.path.join("cosmwasm_etl_ray", "state", "manifest.py")
+    bad = []
+    for rel in _program_files():
+        if not rel.startswith("cosmwasm_etl_ray" + os.sep):
+            continue
+        src = open(os.path.join(ROOT, rel)).read()
+        bad += [f"{rel} names {w}" for w in ("key64", "manifest_entries") if w in src]
+        if rel == own:
+            continue
+        for n in ast.walk(ast.parse(src, rel)):
+            if isinstance(n, ast.Constant) and n.value == "format":
+                bad.append(f"{rel}:{n.lineno} reads a manifest's format")
+            elif isinstance(n, ast.Call) and "relpath" in (
+                getattr(n.func, "attr", None), getattr(n.func, "id", None)
+            ) and any(
+                isinstance(a, ast.Attribute) and a.attr in ("root", "state_dir")
+                for a in n.args[1:] + [k.value for k in n.keywords]
+            ):
+                bad.append(f"{rel}:{n.lineno} makes a state name relative")
+    assert not bad, "manifest formats and names belong to state/manifest.py:\n" + "\n".join(bad)
+
+
 def _apply(store, e: int, batch: list[str]) -> None:
     """One epoch in this process: one MergeWithState call over every
     pid, then commit_epoch."""
     t = pa.concat_tables([pq.read_table(f) for f in batch], promote_options="permissive")
     t = FlagAndPartition(SPARSE.num_partitions)(t)
     latest = store.latest_epoch()
-    prior = manifest_entries(store.manifest(latest)) if latest is not None else {}
+    prior = store.manifest(latest)["partitions"] if latest is not None else {}
     stats = MergeWithState(
         store.state_dir, e, {int(p): v for p, v in prior.items()},
         quarantine_root=store.quarantine_dir,

@@ -14,7 +14,6 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -34,7 +33,7 @@ from cosmwasm_etl_ray.sources.changes import COMMIT_WIDTH
 from cosmwasm_etl_ray.sources.generator import generate_change_stream
 from cosmwasm_etl_ray.state.delta import partition_chains
 from cosmwasm_etl_ray.state.gc import gc_state
-from cosmwasm_etl_ray.state.manifest import StateStore
+from cosmwasm_etl_ray.state.manifest import MANIFEST_FORMAT, StateStore
 
 DENSE = EngineConfig(num_partitions=8, epoch_max_events=15_000, batch_size=4096)
 # one epoch per file: the sparse log's 120-event files stay single epochs
@@ -137,6 +136,14 @@ def test_read_state_equal_on_every_layout(cases, logs):
         pd.testing.assert_frame_equal(
             want[cols], oracle[cols].sort_values(["repo", "path"]).reset_index(drop=True)
         )
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_empty_store_read_keeps_its_columns(tmp_path):
+    """Before the first commit, read_state().to_pandas() has the state
+    columns, so a consumer can select them."""
+    df = read_state(StateStore(str(tmp_path))).to_pandas()
+    assert len(df) == 0 and {"repo", "path", "commit", "content"} <= set(df.columns)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -330,13 +337,13 @@ def test_quarantine_replay_and_bootstrap_on_delta(tmp_path, write_sparse_log, re
             store = StateStore(str(tmp_path / f"q-{name}-{build.__name__}"))
             build(files, store, cfg)
             m = replay_quarantine(store, cfg, fix_fn=fix)
-            assert m["format"] == 3 and m["counts"]["quarantined"] == 0
+            assert m["format"] == MANIFEST_FORMAT and m["counts"]["quarantined"] == 0
             got.append(_rows(read_state(store)))
         pd.testing.assert_frame_equal(got[0], got[1])
 
         head = pd.concat([pd.read_parquet(f) for f in files[:2]], ignore_index=True)
         boot = StateStore(str(tmp_path / f"b-{name}"))
-        assert bootstrap_store(serial_oracle_replay(head), boot, cfg)["format"] == 3
+        assert bootstrap_store(serial_oracle_replay(head), boot, cfg)["format"] == MANIFEST_FORMAT
         for i, f in enumerate(files[2:], start=1):
             apply_epoch(ray.data.read_parquet([f]), boot, i, cfg, (f, f))
         cols = ["repo", "path", "commit", "content"]
@@ -346,52 +353,6 @@ def test_quarantine_replay_and_bootstrap_on_delta(tmp_path, write_sparse_log, re
             want[cols].sort_values(["repo", "path"]).reset_index(drop=True),
         )
     assert max(len(c) for c in partition_chains(boot).values()) > 1
-
-
-def _parquet_files(store) -> set[str]:
-    return {
-        os.path.join(d, f)
-        for top in (store.state_dir, store.quarantine_dir)
-        for d, _, fs in os.walk(top) for f in fs if f.endswith(".parquet")
-    }
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_store_with_key64_column_resumes(logs, tmp_path):
-    """Stores written before the fold went exact-key carry the routing
-    hash ``key64`` (uint64, before ``pid``) in every state and
-    quarantine file. Such a store resumes: the next epoch appends links
-    to its bases, the one after folds the chains, no file written
-    after the resume has ``key64``, and the reads equal the serial
-    oracle without it."""
-    from cosmwasm_etl_ray.functions.hashing import stable_hash64
-
-    files = logs["sparse"]
-    store = StateStore(str(tmp_path / "old"))
-    replay_files(files[:3], store, SPARSE)
-    old = _parquet_files(store)
-    for f in old:
-        t = pq.read_table(f)
-        key = [pc.fill_null(t[c], "").to_numpy(zero_copy_only=False) for c in ("repo", "path")]
-        t = t.add_column(t.schema.get_field_index("pid"), "key64",
-                         pa.array(stable_hash64(*key), pa.uint64()))
-        pq.write_table(t, f)
-    assert store.latest_epoch() == 2
-
-    replay_files(files, store, SPARSE)
-    new = _parquet_files(store) - old
-    assert new and not [f for f in new if "key64" in pq.read_schema(f).names]
-    appended = store.manifest(3)["partitions"].values()
-    assert any(v.get("chain", [""])[0] in old for v in appended)
-    assert all("chain" not in v for v in store.manifest(4)["partitions"].values())
-    cols = ["repo", "path", "commit", "content"]
-    for e, upto in ((3, 4), (store.latest_epoch(), len(files))):
-        got = _rows(read_state(store, epoch=e))
-        assert "key64" not in got.columns
-        want = serial_oracle_replay(pd.concat([pd.read_parquet(f) for f in files[:upto]]))
-        pd.testing.assert_frame_equal(
-            got[cols], want[cols].sort_values(["repo", "path"]).reset_index(drop=True)
-        )
 
 
 # ---- lint: state files are read through the state layer only ----

@@ -184,6 +184,20 @@ def test_empty_store_ledger_schema(tmp_path):
     assert types["tx_id"] == "int64" and types["amount"] == "int64"
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_empty_ledger_frame_keeps_its_columns(tmp_path):
+    """Before the first commit, ledger().to_pandas() has the six ledger
+    columns with their dtypes, so a consumer can select them."""
+    pipe = TransferParserPipeline(SF, str(tmp_path / "store"), n_epochs=2)
+    df = pipe.ledger().to_pandas()[LEDGER_COLS]
+    assert len(df) == 0
+    assert {c: str(t) for c, t in df.dtypes.items()} == {
+        "tx_id": "int64", "log_idx": "int64", "pair": "object",
+        "token": "object", "ttype": "object", "amount": "int64",
+    }
+    assert pipe.ledger().count() == 0
+
+
 def test_pid_runs_are_contiguous_sized_and_capped(monkeypatch):
     """Runs tile [0, P) in order, there are at most ``cap`` of them, and
     each holds at least max(ROW_GROUP_ROWS, total / cap) rows unless it
@@ -253,9 +267,9 @@ def test_fresh_pipeline_resumes_later_epochs(tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_crash_orphans_are_never_read(tmp_path, monkeypatch):
     """Epoch 1, cut into several files by a low row target, crashes
-    before its manifest: its part files stay on disk, named by no
-    manifest, and are never read. The resume (one file at the default
-    target) equals the quiet run."""
+    before its manifest: its part files are named by no manifest and
+    never read. The resume (one file at the default target) deletes
+    them before it writes, and equals the quiet run."""
     quiet = TransferParserPipeline(SF, str(tmp_path / "quiet"), n_epochs=2)
     quiet.run()
     want = _sorted(quiet.ledger().to_pandas())
@@ -283,8 +297,12 @@ def test_crash_orphans_are_never_read(tmp_path, monkeypatch):
 
     resumed = TransferParserPipeline(SF, root, n_epochs=2)
     assert [r["skipped"] for r in resumed.run()] == [True, False]
-    assert len([f for f in resumed.epoch_files() if f"epoch=1{os.sep}" in f]) == 1
-    assert set(orphans) - set(resumed.epoch_files())  # still on disk, never read
+    own = [f for f in resumed.epoch_files() if f"epoch=1{os.sep}" in f]
+    assert len(own) == 1
+    assert glob.glob(os.path.join(root, "epoch=1", "*")) == own  # the crashed cut is gone
+    assert not [f for f in orphans if f not in own and os.path.exists(f)]
+    q = glob.glob(os.path.join(resumed.store.quarantine_dir, "epoch=1", "*"))
+    assert [os.path.basename(f) for f in q] in ([], [os.path.basename(own[0])])
     pd.testing.assert_frame_equal(_sorted(resumed.ledger().to_pandas()), want)
 
 

@@ -30,7 +30,6 @@ from cosmwasm_etl_ray.config import EngineConfig, GeneratorConfig
 from cosmwasm_etl_ray.pipelines import replay
 from cosmwasm_etl_ray.pipelines.replay import (
     apply_epoch,
-    epoch_diff,
     lookup_state,
     read_state,
     replay_files,
@@ -285,33 +284,17 @@ def test_apply_epoch_bytes_follow_dataset_order_not_blocks(log, tmp_path, monkey
     assert modes == {p: p >= P // 2 for p in range(P)}
 
 
-def _diff_oracle(files_old, files_new) -> pd.DataFrame:
-    """insert/update/delete between the serial oracle's live states."""
-    old = _oracle(files_old)[["repo", "path", "commit"]] if files_old else \
-        pd.DataFrame(columns=["repo", "path", "commit"])
-    new = _oracle(files_new)[["repo", "path", "commit"]]
-    m = old.merge(new, on=["repo", "path"], how="outer", suffixes=("_old", "_new"))
-    m = m[m["commit_old"].fillna("") != m["commit_new"].fillna("")]
-    kind = np.where(m["commit_old"].isna(), "insert",
-                    np.where(m["commit_new"].isna(), "delete", "update"))
-    out = pd.DataFrame({"repo": m["repo"], "path": m["path"], "kind": kind,
-                        "commit": m["commit_new"].fillna(m["commit_old"])})
-    return out.sort_values(["repo", "path"]).reset_index(drop=True)
-
-
-def _diff(store, lo, hi) -> pd.DataFrame:
-    return epoch_diff(store, lo, hi).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-
-
 def test_format2_store_resumes_under_the_group_writer(
     log, rewrite_every_epoch, tmp_path, monkeypatch
 ):
-    """A store written one whole file per pid, its manifests marked
-    format 2 (entries without offsets), resumes at G = 2: read_state,
-    lookup_state and epoch_diff across the format boundary equal the
+    """A store of format 2's shape — one whole file per pid, entries
+    without offsets, as the reference writer and the transfer ledger
+    still record them in MANIFEST_FORMAT — resumes at G = 2: read_state,
+    lookup_state and epoch_diff across the change of shape equal the
     serial oracle, and once every pid has folded gc_state deletes the
     per-pid files."""
-    from cosmwasm_etl_ray.pipelines.replay import plan_epochs
+    from cosmwasm_etl_ray.pipelines.replay import epoch_diff, plan_epochs
+    from cosmwasm_etl_ray.state.manifest import MANIFEST_FORMAT
 
     store = StateStore(str(tmp_path / "s"))
     rewrite_every_epoch(log[:2], store, CFG)
@@ -319,10 +302,8 @@ def test_format2_store_resumes_under_the_group_writer(
     assert len(old) == P
     for e in store.committed_epochs():
         m = store.manifest(e)
+        assert m["format"] == MANIFEST_FORMAT
         assert all("offset" not in v for v in m["partitions"].values())
-        m["format"] = 2
-        with open(store._mpath(e), "w") as f:
-            json.dump(m, f)
 
     _set_cap(monkeypatch, 2)
     replay_files(log, store, CFG)
@@ -332,7 +313,20 @@ def test_format2_store_resumes_under_the_group_writer(
     assert len(_files(store, store.state_dir, 1)) == 2
     pd.testing.assert_frame_equal(_state(store)[COLS], _oracle(log)[COLS])
     pd.testing.assert_frame_equal(_state(store, 0)[COLS], _oracle(epochs[0])[COLS])
-    pd.testing.assert_frame_equal(_diff(store, 0, 1), _diff_oracle(epochs[0], log))
+
+    # epoch 0 -> 1: insert/update/delete between the serial oracle's live states
+    was, now = (_oracle(f)[["repo", "path", "commit"]] for f in (epochs[0], log))
+    m = was.merge(now, on=["repo", "path"], how="outer", suffixes=("_old", "_new"))
+    m = m[m["commit_old"].fillna("") != m["commit_new"].fillna("")]
+    kind = np.where(m["commit_old"].isna(), "insert",
+                    np.where(m["commit_new"].isna(), "delete", "update"))
+    want = pd.DataFrame({"repo": m["repo"], "path": m["path"], "kind": kind,
+                         "commit": m["commit_new"].fillna(m["commit_old"])})
+    got = epoch_diff(store, 0, 1).to_pandas()
+    pd.testing.assert_frame_equal(
+        got.sort_values(["repo", "path"]).reset_index(drop=True),
+        want.sort_values(["repo", "path"]).reset_index(drop=True),
+    )
 
     keys = _oracle(log)[["repo", "path"]].head(40)
     got = lookup_state(store, keys, P)[0].to_pandas().sort_values(["repo", "path"])
@@ -387,7 +381,6 @@ def test_row_groups_hold_whole_pids(log, tmp_path, monkeypatch):
     — through appended links and folds."""
     from cosmwasm_etl_ray.stages import merge as merge_mod
     from cosmwasm_etl_ray.stages.normalize import FlagAndPartition
-    from cosmwasm_etl_ray.state.manifest import manifest_entries
 
     monkeypatch.setattr(merge_mod, "ROW_GROUP_ROWS", 300)
     store = StateStore(str(tmp_path / "s"))
@@ -397,7 +390,7 @@ def test_row_groups_hold_whole_pids(log, tmp_path, monkeypatch):
         t = pa.concat_tables([pq.read_table(f) for f in batch], promote_options="permissive")
         t = FlagAndPartition(P)(t)
         latest = store.latest_epoch()
-        prior = {int(p): v for p, v in manifest_entries(store.manifest(latest)).items()} \
+        prior = {int(p): v for p, v in store.manifest(latest)["partitions"].items()} \
             if latest is not None else {}
         stats = merge_mod.MergeWithState(
             store.state_dir, e, prior, quarantine_root=store.quarantine_dir
