@@ -71,12 +71,32 @@ def cached_remote(key, fn, **opts):
 
 
 def task_cap() -> int:
-    """The fan-out cap of one raw-task step (prep shards, merge
-    pid-groups, state reader tasks, exchange prep): 2×NCPU of the
-    session — every core busy, per-task orchestration bounded."""
+    """The host's cap on the fan-out of one raw-task step (prep shards,
+    merge pid-groups, state reader tasks, exchange prep): 2×NCPU of the
+    session — every core busy, per-task orchestration bounded. The
+    state steps size their fan-out by rows (one task per
+    stages/merge.ROW_GROUP_ROWS rows) and take this as its cap."""
     import ray
 
     return 2 * int(ray.cluster_resources().get("CPU", 32))
+
+
+def row_runs(rows, cap: int, target: int) -> list[tuple[int, int]]:
+    """Cut items 0..n-1 (``rows`` holds each one's row count) into
+    contiguous runs [lo, hi), each of at least max(target, total / cap)
+    rows unless it is the only run: at most ``cap`` runs, and items of
+    under ``target`` rows in all are one run."""
+    rows = [int(n) for n in rows]
+    target = max(target, -(-sum(rows) // cap))
+    cuts, acc = [0], 0
+    for i, n in enumerate(rows):
+        acc += n
+        if acc >= target:
+            cuts.append(i + 1)
+            acc = 0
+    if len(cuts) > 1:
+        cuts.pop()  # the items after it hold < target rows: they join the run before
+    return list(zip(cuts, cuts[1:] + [len(rows)]))
 
 
 def empty_dataset(empty) -> "ray.data.Dataset":

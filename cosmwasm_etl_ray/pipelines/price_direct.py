@@ -226,7 +226,7 @@ def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
     """PriceTask.process_epoch's body: one epoch through the raw-task
     exchange described in the module docstring."""
     from cosmwasm_etl_ray.pipelines.aggregator import _epoch_source_files
-    from cosmwasm_etl_ray.pipelines.replay import _plan_shards
+    from cosmwasm_etl_ray.pipelines.replay import _plan_shards, _row_groups
 
     S = PRICE_REPO_SHARDS
     P = task.cfg.num_partitions
@@ -258,10 +258,11 @@ def process_epoch_direct(task, epoch: int, manifest: dict) -> None:
     relsize = cached_remote("price_relsize", _price_relsize_write)
 
     # prep shards: bounded like the replay (in-flight refs = shards×P)
-    rows = sum(pq.read_metadata(f).num_rows for f in files)
+    sizes = _row_groups(files)
+    rows = sum(sum(n) for n in sizes.values())
     target = max(task.cfg.batch_size, -(-rows // task_cap()))
     per_pid: list[list] = [[] for _ in range(P)]
-    for path, rgs in _plan_shards(files, target):
+    for path, rgs in _plan_shards(files, sizes, target):
         refs = prep.remote(path, rgs, P)
         if P == 1:
             refs = [refs]

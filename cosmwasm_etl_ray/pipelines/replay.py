@@ -25,13 +25,17 @@ replay, bootstrap) both run it:
         (epoch-1, group) is an argument, so epochs pipeline per group
     driver: manifest commit, strictly in epoch order
 
-G = min(P, 2×NCPU) groups of consecutive pids (compat.task_cap, read
-once per call) are the unit of parallelism and of the state file, like
-Flink's key groups: each (epoch, group) writes one file, and each pid's
-manifest entry names its slice of it (file, offset, rows). P stays the
-store's identity — the unit of routing and of the append-or-fold
-decision — and G is never recorded: a different NCPU writes the same
-pid slices into differently grouped files.
+G groups of consecutive pids are the unit of parallelism and of the
+state file, like Flink's key groups: each (epoch, group) writes one
+file, and each pid's manifest entry names its slice of it (file,
+offset, rows). G comes from rows, capped by 2×NCPU, and is set once per
+call: G = min(P, compat.task_cap(), ⌈(committed state rows + largest
+epoch's input rows) / stages/merge.ROW_GROUP_ROWS⌉) — the rows a dense
+(folding) epoch writes at most — so a small store writes one group
+file an epoch, and one that grows past the target fans out again on
+its next call. P stays the store's identity — the unit of routing and
+of the append-or-fold decision — and G is never recorded: another G
+writes the same pid slices into differently grouped files.
 
 Raw Ray tasks, not a Dataset groupby: the hash-shuffle operator spawns
 an aggregator pool per execution (a measured fixed cost per epoch,
@@ -69,9 +73,10 @@ from cosmwasm_etl_ray.functions.hashing import (
     partition_of_codes,
     split_table_by_shard,
 )
-from cosmwasm_etl_ray.stages.merge import OP_COL, MergeWithState, combine_keep
+from cosmwasm_etl_ray.stages.merge import OP_COL, ROW_GROUP_ROWS, MergeWithState, combine_keep
 from cosmwasm_etl_ray.stages.normalize import flag
 from cosmwasm_etl_ray.state.delta import partition_slices, read_chains
+from cosmwasm_etl_ray.state.manifest import entry_chain_rows
 
 
 def _pid_groups(P: int, cap: int) -> list[int]:
@@ -132,18 +137,29 @@ def _prep_split_blocks(bounds: list[int], ruleset, combine: bool, *blocks):
     return out[0] if G == 1 else tuple(out)
 
 
-def _plan_shards(files: list[str], target_rows: int) -> list[tuple[str, list[int]]]:
+def _row_groups(files: list[str]) -> dict[str, list[int]]:
+    """file → the row counts of its row groups: the one footer read of
+    each change-log file a call makes (epoch plan, G, prep shards)."""
+    out = {}
+    for f in files:
+        md = pq.read_metadata(f)
+        out[f] = [md.row_group(rg).num_rows for rg in range(md.num_row_groups)]
+    return out
+
+
+def _plan_shards(
+    files: list[str], sizes: dict[str, list[int]], target_rows: int
+) -> list[tuple[str, list[int]]]:
     """Slice an epoch's files into prep shards of ≈target_rows
-    consecutive row groups (never crossing a file). Shard granularity =
-    row-group granularity, so writers control read parallelism with
-    row_group_size (the generator writes 65536-row groups)."""
+    consecutive row groups (never crossing a file; ``sizes`` from
+    ``_row_groups``). Shard granularity = row-group granularity, so
+    writers control read parallelism with row_group_size (the generator
+    writes 65536-row groups)."""
     shards: list[tuple[str, list[int]]] = []
     for f in sorted(files):
-        md = pq.read_metadata(f)
         cur: list[int] = []
         cur_rows = 0
-        for rg in range(md.num_row_groups):
-            n = md.row_group(rg).num_rows
+        for rg, n in enumerate(sizes[f]):
             if cur and cur_rows + n > target_rows:
                 shards.append((f, cur))
                 cur, cur_rows = [], 0
@@ -154,15 +170,21 @@ def _plan_shards(files: list[str], target_rows: int) -> list[tuple[str, list[int
     return shards
 
 
-def _committed_prior(store, bounds: list[int]) -> dict[int, tuple]:
-    """group → ([], pid → committed manifest entry (chain + row
-    counts)): each group's first link reads it in place of a
-    predecessor's result. num_partitions (P = bounds[-1]) is part of
-    the store's identity: pid = hash(key) % P routes keys to state
+def _committed_prior(
+    store, P: int, cap: int, input_rows: int | None
+) -> tuple[list[int], dict[int, tuple]]:
+    """The call's pid-group bounds and group → ([], pid → committed
+    manifest entry (chain + row counts)): each group's first link reads
+    it in place of a predecessor's result. G = min(P, cap, ⌈(committed
+    state rows + input_rows) / ROW_GROUP_ROWS⌉), the state rows summed
+    over every pid's chain (a bare entry counts as ROW_GROUP_ROWS):
+    that sum bounds what a dense (folding) epoch writes. Unknown
+    ``input_rows`` leave G at min(P, cap). num_partitions (P) is part
+    of the store's identity: pid = hash(key) % P routes keys to state
     files, so replaying with a different P would silently send a key's
     new events to a different partition than its existing state row.
     Manifests record P; refuse a mismatch."""
-    P, latest = bounds[-1], store.latest_epoch()
+    latest = store.latest_epoch()
     m = store.manifest(latest) if latest is not None else {}
     committed_p = m.get("num_partitions")
     if committed_p is not None and committed_p != P:
@@ -171,17 +193,28 @@ def _committed_prior(store, bounds: list[int]) -> dict[int, tuple]:
             f"config asks for {P} — refusing to mix"
         )
     committed = {int(p): info for p, info in m.get("partitions", {}).items()}
-    return {
+    if input_rows is not None:
+        rows = sum(sum(entry_chain_rows(i) or [ROW_GROUP_ROWS]) for i in committed.values())
+        cap = min(cap, max(1, -(-(rows + input_rows) // ROW_GROUP_ROWS)))
+    bounds = _pid_groups(P, cap)
+    return bounds, {
         g: ([], {p: committed[p] for p in range(lo, hi) if p in committed})
         for g, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     }
 
 
 def _launch_prep_tasks(
-    batch: list[str], bounds: list[int], cfg: EngineConfig, ruleset_ref, cap: int
-) -> tuple[int, list]:
-    """Fan out one epoch's file-shard prep tasks and return
-    (input_rows, each task's G group refs).
+    batch: list[str],
+    sizes: dict[str, list[int]],
+    rows: int,
+    bounds: list[int],
+    cfg: EngineConfig,
+    ruleset_ref,
+    cap: int,
+) -> list:
+    """Fan out the file-shard prep tasks of one epoch of ``rows`` rows
+    and return each task's G group refs (``sizes`` from
+    ``_row_groups``).
 
     Shard cap: in-flight ObjectRefs per epoch are shards × G, and the
     raylet measurably degrades past ~4k small objects in flight
@@ -190,11 +223,10 @@ def _launch_prep_tasks(
     by raising the per-shard row target on large epochs."""
     G = len(bounds) - 1
     prep = cached_remote(("replay_prep", G), _prep_split_shard, num_returns=G)
-    rows = sum(pq.read_metadata(f).num_rows for f in batch)
     target = max(cfg.batch_size, -(-rows // cap))
-    return rows, [
+    return [
         prep.remote(path, rgs, bounds, ruleset_ref, not cfg.override_coalesce)
-        for path, rgs in _plan_shards(batch, target)
+        for path, rgs in _plan_shards(batch, sizes, target)
     ]
 
 
@@ -302,7 +334,8 @@ def _commit_wave(
     """Wait for one epoch's chain links and commit its manifest — the
     single commit protocol of every apply path. The manifest's
     ``timings`` block records the links' summed layer times and bytes,
-    the slowest link's total, and the driver's wait for the wave."""
+    the slowest link's total, the number of state files the epoch
+    wrote (``groups``) and the driver's wait for the wave."""
     t0 = time.perf_counter()
     done = ray.get(wave)
     wait_s = time.perf_counter() - t0
@@ -321,22 +354,27 @@ def _commit_wave(
     timings["slowest_group_s"] = max(
         (sum(s[k] for s in written for k in _LAYERS) for written, _ in done), default=0.0
     )
+    timings["groups"] = len({s["file"] for written, _ in done for s in written})
     timings["wait_s"] = wait_s
     return store.commit_epoch(
         e, touched, offset_range, counts, num_partitions=P, timings=timings
     )
 
 
-def plan_epochs(files: list[str], cfg: EngineConfig) -> list[list[str]]:
+def plan_epochs(
+    files: list[str], cfg: EngineConfig, sizes: dict[str, list[int]] | None = None
+) -> list[list[str]]:
     """Slice the change log's file list into epochs of ≤ epoch_max_events,
     on file boundaries only (files are commit-contiguous, like height
     batches — /root/reference/pkg/db/parser/repository.go:143-164 never
-    splits a height across batches)."""
+    splits a height across batches). ``sizes`` (``_row_groups``) is
+    read from the files when not given."""
+    sizes = sizes if sizes is not None else _row_groups(files)
     epochs: list[list[str]] = []
     cur: list[str] = []
     cur_rows = 0
     for f in sorted(files):
-        n = pq.read_metadata(f).num_rows
+        n = sum(sizes[f])
         if cur and cur_rows + n > cfg.epoch_max_events:
             epochs.append(cur)
             cur, cur_rows = [], 0
@@ -361,13 +399,13 @@ def apply_epoch(
     side output per partition). Idempotent: re-running a committed
     epoch is a no-op; re-running an uncommitted (crashed) epoch
     overwrites the same partition files. Same links, same
-    append-or-fold policy as replay_files."""
+    append-or-fold policy as replay_files; G follows the committed
+    state's rows plus ``input_rows`` (at the cap when it is None)."""
     if store.is_committed(epoch):
         return store.manifest(epoch)
 
     cap = task_cap()
-    bounds = _pid_groups(cfg.num_partitions, cap)
-    prev_refs = _committed_prior(store, bounds)
+    bounds, prev_refs = _committed_prior(store, cfg.num_partitions, cap, input_rows)
     preps = _launch_prep_blocks(changes, bounds, cfg, cap)
     wave = _launch_chain(store, epoch, preps, bounds, cfg, prev_refs)
     return _commit_wave(store, epoch, offset_range, input_rows, wave, cfg.num_partitions)
@@ -412,14 +450,15 @@ def replay_files(
     (/root/reference/aggregator/task.go:785-811): epoch e+1's merge
     reads epoch e's state — per partition, through the chain."""
     todo, start = pending_files(files, store)
-    epochs = plan_epochs(todo, cfg)
+    sizes = _row_groups(todo)
+    epochs = plan_epochs(todo, cfg, sizes)
     if not epochs:
         return []
-    return _replay_files_direct(epochs, start, store, cfg)
+    return _replay_files_direct(epochs, sizes, start, store, cfg)
 
 
 def _replay_files_direct(
-    epochs: list[list[str]], start: int, store, cfg: EngineConfig
+    epochs: list[list[str]], sizes: dict[str, list[int]], start: int, store, cfg: EngineConfig
 ) -> list[dict]:
     """The replay engine: file-shard prep tasks per epoch, then the
     group-chained merge links.
@@ -428,8 +467,9 @@ def _replay_files_direct(
     include the ObjectRef of (e-1, g)'s result — Ray's dependency
     tracking replaces a global per-epoch barrier with G independent
     chains, so epoch e+1's prep and e's merges overlap without
-    threads. G is fixed once per call: a link only chains to its own
-    group's predecessor.
+    threads. G is fixed once per call, from the committed state's rows
+    and the largest epoch's (``_committed_prior``): a link only chains
+    to its own group's predecessor.
 
     Durability: each link writes its partition file tmp+rename, the
     driver commits manifests strictly in epoch order, and a crash
@@ -440,8 +480,8 @@ def _replay_files_direct(
     MAX_WAVES = 2
     P = cfg.num_partitions
     cap = task_cap()
-    bounds = _pid_groups(P, cap)
-    prev_refs = _committed_prior(store, bounds)
+    rows = [sum(sum(sizes[f]) for f in batch) for batch in epochs]
+    bounds, prev_refs = _committed_prior(store, P, cap, max(rows))
     ruleset_ref = ray.put(cfg.rules) if cfg.rules is not None else None
     pending: list[tuple] = []
     out: list[dict] = []
@@ -451,9 +491,9 @@ def _replay_files_direct(
         if store.is_committed(e):
             out.append(store.manifest(e))
             continue
-        rows, preps = _launch_prep_tasks(batch, bounds, cfg, ruleset_ref, cap)
+        preps = _launch_prep_tasks(batch, sizes, rows[i], bounds, cfg, ruleset_ref, cap)
         wave = _launch_chain(store, e, preps, bounds, cfg, prev_refs)
-        pending.append((e, (batch[0], batch[-1]), rows, wave))
+        pending.append((e, (batch[0], batch[-1]), rows[i], wave))
         while len(pending) >= MAX_WAVES:
             out.append(_commit_wave(store, *pending.pop(0), P))
 

@@ -48,7 +48,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from cosmwasm_etl_ray.compat import cached_remote, empty_dataset, task_cap
+from cosmwasm_etl_ray.compat import cached_remote, empty_dataset, row_runs, task_cap
 from cosmwasm_etl_ray.functions.hashing import stable_hash64
 from cosmwasm_etl_ray.stages.merge import ROW_GROUP_ROWS
 from cosmwasm_etl_ray.stages.transfers import (
@@ -121,23 +121,6 @@ def _prep_transfer_shard(
         *(None if lp is None and bp is None else (lp, bp) for lp, bp in zip(led_parts, bad_parts)),
         rows,
     )
-
-
-def _pid_runs(rows: np.ndarray, cap: int) -> list[tuple[int, int]]:
-    """Cut pids 0..P-1 into contiguous runs [lo, hi), each of at least
-    max(ROW_GROUP_ROWS, total / cap) ledger rows (``rows`` holds each
-    pid's) unless it is the only run: at most ``cap`` runs, and an
-    epoch under ROW_GROUP_ROWS rows is one run."""
-    target = max(ROW_GROUP_ROWS, -(-int(rows.sum()) // cap))
-    cuts, acc = [0], 0
-    for p, n in enumerate(rows.tolist()):
-        acc += n
-        if acc >= target:
-            cuts.append(p + 1)
-            acc = 0
-    if len(cuts) > 1:
-        cuts.pop()  # the pids after it hold < target rows: they join the run before
-    return list(zip(cuts, cuts[1:] + [len(rows)]))
 
 
 def _finish_transfer_run(root: str, qdir: str, epoch: int, lo: int, *parts):
@@ -258,7 +241,7 @@ class TransferParserPipeline:
         epoch's tx range, run expand+decode+map vectorized and split by
         tx-hash pid (``num_returns=P+1``, the last value each pid's
         ledger rows). It fetches only those counts, cuts the
-        pids into runs (``_pid_runs``), and one finish task per run
+        pids into runs (``compat.row_runs``), and one finish task per run
         runs the duplicate eliminator over its complete tx groups and
         writes one ledger and one quarantine file tmp+rename. No
         Dataset shuffle anywhere — the sort-based groupby measured
@@ -294,7 +277,7 @@ class TransferParserPipeline:
                     self.store.root, self.store.quarantine_dir, epoch, a,
                     *(s[p] for p in range(a, b) for s in shards),
                 )
-                for a, b in _pid_runs(rows, task_cap())
+                for a, b in row_runs(rows, task_cap(), ROW_GROUP_ROWS)
             ]
         )
         results = [r for r in results if r is not None]

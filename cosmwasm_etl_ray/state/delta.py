@@ -16,13 +16,14 @@ caller compacts.
 
 Every read of committed state goes through ``map_chains``: one item
 per pid (its chain, or an (old, new) chain pair for a diff), grouped
-by shared files into at most min(#items, 2×NCPU) raw Ray tasks
-(compat.task_cap, also the replay's cap on prep shards and merge
-pid-groups). A task reads each of its files once (``read_slices``:
-only the row groups that hold its slices), folds the chains of more
-than one slice, calls the caller's function once on the task's
-concatenated tables and returns one Arrow table; blocks are padded to
-one schema with typed nulls.
+by shared files into raw Ray tasks sized by rows: one task per
+stages/merge.ROW_GROUP_ROWS rows its slices name, capped by 2×NCPU
+(compat.task_cap; the replay sizes its merge pid-groups the same
+way). A task reads each of its files once (``read_slices``: only the
+row groups that hold its slices), folds the chains of more than one
+slice, calls the caller's function once on the task's concatenated
+tables and returns one Arrow table; blocks are padded to one schema
+with typed nulls.
 
 How rows were written never changes how they are read: the fold is
 fold_lww_arrow in epoch order (prior-first, so the tie-break matches
@@ -42,8 +43,8 @@ import pyarrow.parquet as pq
 
 import ray
 
-from cosmwasm_etl_ray.compat import cached_remote, empty_dataset, task_cap
-from cosmwasm_etl_ray.stages.merge import _conform, fold_lww_arrow
+from cosmwasm_etl_ray.compat import cached_remote, empty_dataset, row_runs, task_cap
+from cosmwasm_etl_ray.stages.merge import ROW_GROUP_ROWS, _conform, fold_lww_arrow
 from cosmwasm_etl_ray.state.manifest import Slice, entry_slices
 
 FOLD_COLS = ["repo", "path", "commit"]  # what a fold reads besides the caller's columns
@@ -164,10 +165,13 @@ def _read_group(fn, columns, group, *args):
 
 
 def _file_groups(items: dict[int, tuple[list[Slice], ...]], cap: int) -> list[list[int]]:
-    """Pids in at most ``cap`` groups, pids whose slices share a file
-    in the same group (so a task reads each file it needs once and no
-    other task reads it): connected components over shared files, in
-    pid order, split into ≤ cap runs of consecutive components."""
+    """Pids in at most min(cap, ⌈rows / ROW_GROUP_ROWS⌉) groups, pids
+    whose slices share a file in the same group (so a task reads each
+    file it needs once and no other task reads it): connected
+    components over shared files, in pid order, cut into runs of
+    consecutive components of at least ROW_GROUP_ROWS rows named by
+    their slices (compat.row_runs; a whole-file slice, whose rows are
+    unknown, counts as ROW_GROUP_ROWS)."""
     pids = sorted(items)
     root = {p: p for p in pids}
 
@@ -185,9 +189,16 @@ def _file_groups(items: dict[int, tuple[list[Slice], ...]], cap: int) -> list[li
     comps: dict[int, list[int]] = {}
     for p in pids:
         comps.setdefault(find(p), []).append(p)
-    runs = np.array_split(np.arange(len(comps)), min(len(comps), cap))
     ordered = list(comps.values())
-    return [[p for i in run for p in ordered[i]] for run in runs]
+    rows = [
+        sum(ROW_GROUP_ROWS if s.rows is None else s.rows
+            for p in comp for chain in items[p] for s in chain)
+        for comp in ordered
+    ]
+    return [
+        [p for comp in ordered[a:b] for p in comp]
+        for a, b in row_runs(rows, cap, ROW_GROUP_ROWS)
+    ]
 
 
 def map_chains(
@@ -198,14 +209,15 @@ def map_chains(
 ) -> list[tuple[list[int], "ray.ObjectRef"]]:
     """THE state reader. ``items`` maps pid -> a tuple of chains of
     slices (one chain to read, (old, new) to diff). Pids are grouped
-    by the files they share into at most min(#items, task_cap()) raw
-    tasks; one task per pid measured slower than a Dataset scan
-    (BASELINE.md, "Read path unified"), and one task per file of a
-    group store reads it once. Each task folds its pids' chains and
-    calls ``fn(*folded, *args)`` ONCE on the folded tables (one per
-    chain position, all the task's pids concatenated; None where every
-    chain is empty), which returns an Arrow table — keys never cross
-    pids, so ``fn`` needs no per-pid loop. Returns (pids, table ref)
+    by the files they share into at most min(task_cap(), ⌈rows read /
+    ROW_GROUP_ROWS⌉) raw tasks, so a small read is one task; one task
+    per pid measured slower than a Dataset scan (BASELINE.md, "Read
+    path unified"), and one task per file of a group store reads it
+    once. Each task folds its pids' chains and calls
+    ``fn(*folded, *args)`` ONCE on the folded tables (one per chain
+    position, all the task's pids concatenated; None where every chain
+    is empty), which returns an Arrow table — keys never cross pids, so
+    ``fn`` needs no per-pid loop. Returns (pids, table ref)
     per task, every table in one schema."""
     if not items:
         return []

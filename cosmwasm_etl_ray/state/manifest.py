@@ -44,9 +44,9 @@ clone) reads the files it lacks from the writing root. ``offset_range``
 names change-log files and is recorded as given.
 
 The layout is resumable-by-partition at 100 TB: state is one file per
-pid-group per touching epoch (at most 2×NCPU files an epoch), never one
-giant file, and the pid stays the unit of routing and of the
-append-or-fold decision.
+pid-group per touching epoch (a group per 2^17 rows, at most 2×NCPU
+files an epoch), never one giant file, and the pid stays the unit of
+routing and of the append-or-fold decision.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ def store_metrics(store) -> dict:
     """Roll up manifests → totals, per-epoch rates, partition stats,
     and the p50/p99 over the manifests of each value of their
     ``timings`` block (the merge's layer seconds and bytes written, the
-    slowest group link, the driver's wait; manifests that record none
-    are skipped). ``state_rows`` and the partition sizes count every
+    slowest group link, the state files written, the driver's wait;
+    manifests that record none are skipped). ``state_rows`` and the partition sizes count every
     slice of each pid's chain; ``state_live_rows`` is None while any
     pid holds an appended link."""
     epochs = store.committed_epochs()

@@ -76,8 +76,9 @@ def test_metrics_rollup_matches_manifests(tmp_path):
 def test_manifest_timings_account_for_written_bytes(tmp_path):
     """Each replayed manifest's ``timings`` are non-negative, its
     ``bytes_written`` is the summed size of the state and quarantine
-    files its epoch wrote, and store_metrics rolls each value up to its
-    p50/p99 over the manifests."""
+    files its epoch wrote, its ``groups`` the number of state files,
+    and store_metrics rolls each value up to its p50/p99 over the
+    manifests."""
     import glob
 
     log = generate_change_stream(
@@ -87,7 +88,7 @@ def test_manifest_timings_account_for_written_bytes(tmp_path):
     )
     store = StateStore(str(tmp_path / "store"))
     replay_files(log["files"], store, EngineConfig(num_partitions=8, epoch_max_events=3_000))
-    keys = {"read_s", "fold_s", "write_s", "bytes_written", "slowest_group_s", "wait_s"}
+    keys = {"read_s", "fold_s", "write_s", "bytes_written", "slowest_group_s", "groups", "wait_s"}
     for e in store.committed_epochs():
         t = store.manifest(e)["timings"]
         assert set(t) == keys and min(t.values()) >= 0
@@ -97,6 +98,8 @@ def test_manifest_timings_account_for_written_bytes(tmp_path):
             for f in glob.glob(os.path.join(d, f"epoch={e}", "*.parquet"))
         ]
         assert t["bytes_written"] == sum(os.path.getsize(f) for f in written) > 0
+        state = glob.glob(os.path.join(store.state_dir, f"epoch={e}", "*.parquet"))
+        assert t["groups"] == len(state) >= 1
     m = store_metrics(store)["timings"]
     assert set(m) == keys
     assert all(0 <= v["p50"] <= v["p99"] for v in m.values())

@@ -121,9 +121,11 @@ def test_delta_lookup_prunes_to_probed_chains(stores):
 
 
 def test_store_metrics_count_whole_chains(stores):
-    """A link's manifest entry counts only its own file: state_rows and
-    the partition sizes sum every file of each pid's chain, and
-    state_live_rows is unknown (None) while any pid holds a link."""
+    """A link's manifest entry counts only its own slice: state_rows and
+    the partition sizes sum the pid's rows in every file of its chain
+    (counted from the files' ``pid`` column: pids share group files),
+    and state_live_rows is unknown (None) while any pid holds a link."""
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from cosmwasm_etl_ray.state.metrics import store_metrics
@@ -131,7 +133,10 @@ def test_store_metrics_count_whole_chains(stores):
     full, delta = stores
     chains = partition_chains(delta)
     assert max(len(c) for c in chains.values()) > 1
-    sizes = sorted(sum(pq.read_metadata(f).num_rows for f in c) for c in chains.values())
+    pids = {f: pq.read_table(f, columns=["pid"])["pid"] for c in chains.values() for f in c}
+    sizes = sorted(
+        sum(pc.sum(pc.equal(pids[f], p)).as_py() or 0 for f in c) for p, c in chains.items()
+    )
     m = store_metrics(delta)
     assert m["state_rows"] == sum(sizes)
     assert m["state_live_rows"] is None
@@ -346,7 +351,7 @@ def test_crash_mid_compaction_is_invisible_delta(stores, change_log, tmp_path):
     replay_files(change_log, store, SPARSE)
     pd.testing.assert_frame_equal(_final(store), _final(full))
     gc_state(store)
-    assert _state_files(store) == sorted(f for c in partition_chains(store).values() for f in c)
+    assert _state_files(store) == sorted({f for c in partition_chains(store).values() for f in c})
 
 
 def test_pre_chain_delta_manifest_refused(tmp_path):

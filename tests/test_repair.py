@@ -16,7 +16,12 @@ CFG = EngineConfig(num_partitions=4, epoch_max_events=15_000)
 
 
 @pytest.fixture()
-def replayed(tmp_path):
+def replayed(tmp_path, monkeypatch):
+    """A 4-epoch store written one file per pid (the row target patched
+    down, so G = P): ``_corrupt_partition`` rewrites one pid's file."""
+    from cosmwasm_etl_ray.pipelines import replay
+
+    monkeypatch.setattr(replay, "ROW_GROUP_ROWS", 1)
     log = generate_change_stream(
         str(tmp_path / "log"),
         GeneratorConfig(seed=59, n_keys=400, n_events=30_000, events_per_file=7_500,

@@ -198,19 +198,21 @@ def test_empty_ledger_frame_keeps_its_columns(tmp_path):
     assert pipe.ledger().count() == 0
 
 
-def test_pid_runs_are_contiguous_sized_and_capped(monkeypatch):
-    """Runs tile [0, P) in order, there are at most ``cap`` of them, and
-    each holds at least max(ROW_GROUP_ROWS, total / cap) rows unless it
-    is the only run."""
+def test_pid_runs_are_contiguous_sized_and_capped():
+    """``compat.row_runs``, which cuts the ledger's pids into file runs
+    (and the state reader's file components into tasks): runs tile
+    [0, P) in order, there are at most ``cap`` of them, and each holds
+    at least max(target, total / cap) rows unless it is the only run."""
     import numpy as np
 
-    monkeypatch.setattr(tp, "ROW_GROUP_ROWS", 100)
+    from cosmwasm_etl_ray.compat import row_runs
+
     rng = np.random.default_rng(7)
     cases = [np.zeros(16, np.int64), np.full(16, 99), np.full(16, 100), np.arange(64) * 10]
     cases += [rng.zipf(1.5, size=P).clip(0, 5000) for P in (1, 3, 32, 64) for _ in range(5)]
     for rows in cases:
         for cap in (1, 2, 8, 64):
-            runs = tp._pid_runs(rows, cap)
+            runs = row_runs(rows, cap, 100)
             assert runs[0][0] == 0 and runs[-1][1] == len(rows)
             assert [a for a, _ in runs[1:]] == [b for _, b in runs[:-1]]
             assert all(a < b for a, b in runs)
@@ -218,7 +220,7 @@ def test_pid_runs_are_contiguous_sized_and_capped(monkeypatch):
             target = max(100, -(-int(rows.sum()) // cap))
             if len(runs) > 1:
                 assert min(int(rows[a:b].sum()) for a, b in runs) >= target
-    assert tp._pid_runs(np.full(16, 10), 8) == [(0, 16)]  # a small epoch is one run
+    assert row_runs(np.full(16, 10), 8, 100) == [(0, 16)]  # a small epoch is one run
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -1,15 +1,19 @@
 """The merge's pid-groups set the state files, never the state: one
 log replayed with G = 1, 2 and P groups — G switching at a mid-log
-resume — writes one state file and at most one quarantine file per
-(epoch, group), and every pid's slice (a column the pid's rows lack read
-as null), every epoch's quarantine rows, every manifest's partitions
-(file and offset masked) and counts, and read_state are the same at
-every G, through replay_files, override mode and bootstrap_store +
-apply_epoch. One epoch launches at most min(P, task_cap()) merge tasks,
-fed by prep tasks of ≤ G returns; a dense epoch writes ≤ G files and a
-lookup reads ≤ G. Format-2 stores (one whole file per pid) resume under
-the group writer, a crash between a group file and its commit re-runs at
-another G, and row groups hold whole pids."""
+resume, the row target patched down so the small log fans out to the
+cap — writes one state file and at most one quarantine file per
+(epoch, group), a dense epoch exactly G, and every pid's slice (a
+column the pid's rows lack read as null), every epoch's quarantine
+rows, every manifest's partitions (file and offset masked) and counts,
+and read_state are the same at every G, through replay_files, override
+mode and bootstrap_store + apply_epoch. One epoch launches at most
+min(P, task_cap()) merge tasks, fed by prep tasks of ≤ G returns; a
+dense epoch writes ≤ G files and a lookup reads ≤ G. G follows rows: a
+small epoch on a small store under a many-CPU cap writes one file, and
+a lookup and a change feed on it each run one reader task. Format-2
+stores (one whole file per pid) resume under the group writer, a crash
+between a group file and its commit re-runs at another G, and row
+groups hold whole pids."""
 
 import glob
 import hashlib
@@ -103,15 +107,20 @@ def _digest(store) -> tuple[dict, list, dict]:
 
 
 def _set_cap(monkeypatch, cap: int) -> None:
+    """G = min(P, cap): the row target patched down to one row, so the
+    test's small epochs fan out to the cap as a large epoch would."""
     monkeypatch.setattr(replay, "task_cap", lambda: cap)
+    monkeypatch.setattr(replay, "ROW_GROUP_ROWS", 1)
 
 
 def _assert_files_follow_groups(store, caps: tuple[int, int]) -> None:
-    """≤ G state files and ≤ G quarantine files per epoch (G of the
-    larger cap: a mid-log resume switches G)."""
-    G = min(P, max(caps))
+    """≤ G state files and ≤ G quarantine files per epoch, and exactly
+    G state files in at least one (dense) epoch (G of the larger cap: a
+    mid-log resume switches G; P the store's)."""
+    G = min(store.manifest(store.latest_epoch())["num_partitions"], max(caps))
+    n = [len(_files(store, store.state_dir, e)) for e in store.committed_epochs()]
+    assert 1 <= min(n) and max(n) == G, n
     for e in store.committed_epochs():
-        assert 1 <= len(_files(store, store.state_dir, e)) <= G
         assert len(_files(store, store.quarantine_dir, e)) <= G
 
 
@@ -194,13 +203,11 @@ def test_bootstrap_and_apply_epoch_slices_do_not_depend_on_groups(log, tmp_path,
     pd.testing.assert_frame_equal(_state(store)[COLS], _oracle(log[:4])[COLS])
 
 
-def test_epoch_merge_tasks_follow_cpus_not_partitions(log, tmp_path, monkeypatch):
-    """Task-count guard: a one-epoch replay into a P = 64 store
-    launches ≤ min(P, task_cap()) merge tasks, and every prep task
-    declares ≤ G returns — counted at ``.remote`` through a wrapped
-    ``cached_remote``; every pid still has its own manifest entry."""
+def _count_remotes(monkeypatch, module) -> list[tuple]:
+    """(function, num_returns) of every ``.remote`` call ``module``
+    launches, through a wrapped ``cached_remote``."""
     launched = []
-    real = replay.cached_remote
+    real = module.cached_remote
 
     class Counting:
         def __init__(self, fn, opts, remote):
@@ -211,8 +218,17 @@ def test_epoch_merge_tasks_follow_cpus_not_partitions(log, tmp_path, monkeypatch
             return self.inner.remote(*args)
 
     monkeypatch.setattr(
-        replay, "cached_remote", lambda key, fn, **opts: Counting(fn, opts, real(key, fn, **opts))
+        module, "cached_remote", lambda key, fn, **opts: Counting(fn, opts, real(key, fn, **opts))
     )
+    return launched
+
+
+def test_epoch_merge_tasks_follow_cpus_not_partitions(log, tmp_path, monkeypatch):
+    """Task-count guard: a one-epoch replay into a P = 64 store
+    launches ≤ min(P, task_cap()) merge tasks, and every prep task
+    declares ≤ G returns — counted at ``.remote`` through a wrapped
+    ``cached_remote``; every pid still has its own manifest entry."""
+    launched = _count_remotes(monkeypatch, replay)
     cfg = EngineConfig(num_partitions=64, epoch_max_events=10_000, batch_size=1024)
     (m,) = replay_files(log[:2], StateStore(str(tmp_path / "s")), cfg)
     G = min(64, task_cap())
@@ -221,6 +237,93 @@ def test_epoch_merge_tasks_follow_cpus_not_partitions(log, tmp_path, monkeypatch
     assert 1 <= len(chain) <= G < 64
     assert prep and max(prep) <= G
     assert m["counts"]["touched_partitions"] == len(m["partitions"]) == 64
+
+
+def _oracle_diff(old_files, new_files) -> pd.DataFrame:
+    """The change feed between the serial oracle's live states after
+    ``old_files`` and after ``new_files``, sorted by key."""
+    was, now = (_oracle(f)[["repo", "path", "commit"]] for f in (old_files, new_files))
+    m = was.merge(now, on=["repo", "path"], how="outer", suffixes=("_old", "_new"))
+    m = m[m["commit_old"].fillna("") != m["commit_new"].fillna("")]
+    kind = np.where(m["commit_old"].isna(), "insert",
+                    np.where(m["commit_new"].isna(), "delete", "update"))
+    want = pd.DataFrame({"repo": m["repo"], "path": m["path"], "kind": kind,
+                         "commit": m["commit_new"].fillna(m["commit_old"])})
+    return want.sort_values(["repo", "path"]).reset_index(drop=True)
+
+
+def test_small_epoch_on_many_cpus_writes_one_file_and_reads_in_one_task(
+    tmp_path_factory, monkeypatch
+):
+    """G follows rows, the host only caps it: under a cap of 64, as on
+    a many-CPU session, a ``tail``-shaped tick (8k events on a
+    ~16k-row state, P = 64) writes 1 state file and ≤ 1 quarantine
+    file, a 100-key lookup and the tick's change feed each launch ONE
+    reader task (counted at ``.remote``), and read_state, the lookup and
+    the feed equal the serial oracle. With the write's row target
+    patched small the same tick fans out to min(P, cap) files, and the
+    reads of that store, whose pids share no file, are still one task
+    each — until the read's row target is patched small too."""
+    from cosmwasm_etl_ray.pipelines.replay import epoch_diff
+    from cosmwasm_etl_ray.state import delta
+    from cosmwasm_etl_ray.state.metrics import store_metrics
+
+    out = str(tmp_path_factory.mktemp("tail_log"))
+    log = generate_change_stream(
+        out,
+        GeneratorConfig(
+            seed=67, n_keys=16_000, n_events=32_000, events_per_file=8_000,
+            malformed_frac=0.003, evolve_at_frac=None,
+        ),
+    )["files"]
+    cfg = EngineConfig(num_partitions=64, epoch_max_events=8_000)
+    want = _oracle(log)
+    keys = want[["repo", "path"]].sample(100, random_state=5)
+    for m in (replay, delta):
+        monkeypatch.setattr(m, "task_cap", lambda: 64)
+
+    def write(name: str) -> tuple[StateStore, list[int]]:
+        """Preload 3 epochs, replay the tick; (store, the tick's state
+        and quarantine file counts)."""
+        store = StateStore(str(tmp_path_factory.mktemp(name)))
+        replay_files(log[:3], store, cfg)
+        assert 10_000 < store_metrics(store)["state_rows"] < 20_000
+        (m,) = replay_files(log, store, cfg)
+        assert m["epoch"] == 3 and m["counts"]["touched_partitions"] > 32
+        assert m["timings"]["groups"] == len(_files(store, store.state_dir, 3))
+        pd.testing.assert_frame_equal(_state(store)[COLS], want[COLS])
+        return store, [len(_files(store, d, 3)) for d in (store.state_dir, store.quarantine_dir)]
+
+    def reader_tasks(store) -> list[int]:
+        """The reader tasks of a lookup and of the tick's change feed,
+        each result checked against the oracle."""
+        tasks = []
+        with monkeypatch.context() as mp:
+            launched = _count_remotes(mp, delta)
+            got = lookup_state(store, keys, 64)[0].to_pandas()
+            tasks.append(sum(fn is delta._read_group for fn, _ in launched))
+            got = got.sort_values(["repo", "path"]).reset_index(drop=True)
+            exp = want.merge(keys, on=["repo", "path"]).sort_values(["repo", "path"])
+            pd.testing.assert_frame_equal(got[COLS], exp[COLS].reset_index(drop=True))
+            launched.clear()
+            feed = epoch_diff(store, 2, 3).to_pandas()
+            tasks.append(sum(fn is delta._read_group for fn, _ in launched))
+            pd.testing.assert_frame_equal(
+                feed.sort_values(["repo", "path"]).reset_index(drop=True),
+                _oracle_diff(log[:3], log),
+            )
+        return tasks
+
+    store, (n_state, n_quarantine) = write("small")
+    assert n_state == 1 and n_quarantine <= 1
+    assert reader_tasks(store) == [1, 1]
+
+    monkeypatch.setattr(replay, "ROW_GROUP_ROWS", 1)
+    store, (n_state, n_quarantine) = write("fanned")
+    assert n_state == 64 and n_quarantine <= 64
+    assert reader_tasks(store) == [1, 1]
+    monkeypatch.setattr(delta, "ROW_GROUP_ROWS", 1)
+    assert min(reader_tasks(store)) > 1
 
 
 def test_dense_epoch_writes_and_lookup_reads_at_most_g_files(log, tmp_path):
@@ -315,17 +418,9 @@ def test_format2_store_resumes_under_the_group_writer(
     pd.testing.assert_frame_equal(_state(store, 0)[COLS], _oracle(epochs[0])[COLS])
 
     # epoch 0 -> 1: insert/update/delete between the serial oracle's live states
-    was, now = (_oracle(f)[["repo", "path", "commit"]] for f in (epochs[0], log))
-    m = was.merge(now, on=["repo", "path"], how="outer", suffixes=("_old", "_new"))
-    m = m[m["commit_old"].fillna("") != m["commit_new"].fillna("")]
-    kind = np.where(m["commit_old"].isna(), "insert",
-                    np.where(m["commit_new"].isna(), "delete", "update"))
-    want = pd.DataFrame({"repo": m["repo"], "path": m["path"], "kind": kind,
-                         "commit": m["commit_new"].fillna(m["commit_old"])})
     got = epoch_diff(store, 0, 1).to_pandas()
     pd.testing.assert_frame_equal(
-        got.sort_values(["repo", "path"]).reset_index(drop=True),
-        want.sort_values(["repo", "path"]).reset_index(drop=True),
+        got.sort_values(["repo", "path"]).reset_index(drop=True), _oracle_diff(epochs[0], log)
     )
 
     keys = _oracle(log)[["repo", "path"]].head(40)
